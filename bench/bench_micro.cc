@@ -4,12 +4,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "src/core/admission.h"
 #include "src/core/checkpoint.h"
 #include "src/cpu/cpu.h"
 #include "src/cpu/nt_scheduler.h"
+#include "src/mem/pager.h"
 #include "src/obs/attribution.h"
 #include "src/obs/critical_path.h"
 #include "src/obs/trace.h"
@@ -209,6 +211,49 @@ void BM_AttributionOverhead(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AttributionOverhead)->Arg(0)->Arg(1);
+
+// Login prefault at the mem layer: N TSE logins' page tables paged in, the way
+// Server::Login pages them (each process's private pages into its own space, each shared
+// text segment once, then the editor working set), into a pager sized like a 4 GiB
+// server. Pager construction is inside the loop — it is part of every server's setup.
+// Items are prefaulted pages, so items_per_second is the per-page cost's inverse.
+void BM_PagerPrefault(benchmark::State& state) {
+  const int users = static_cast<int>(state.range(0));
+  const OsProfile profile = OsProfile::Tse();
+  auto pages_for = [](Bytes b) {
+    return std::max<size_t>(1, static_cast<size_t>((b.count() + 4095) / 4096));
+  };
+  PagerConfig pc;
+  pc.total_frames = pages_for(Bytes::MiB(4096) - profile.idle_system_memory);
+  int64_t pages = 0;
+  for (auto _ : state) {
+    Simulator sim;
+    Disk disk(sim, Rng(1));
+    Pager pager(sim, disk, pc);
+    pages = 0;
+    for (int u = 0; u < users; ++u) {
+      for (const ProcessSpec& proc : profile.login_processes) {
+        size_t n = pages_for(proc.private_memory);
+        pager.Prefault(*pager.CreateAddressSpace(proc.name, true), 0, n);
+        pages += static_cast<int64_t>(n);
+        if (proc.shared_text.count() > 0) {
+          SharedSegment seg = pager.AcquireShared("text:" + proc.name, true);
+          if (seg.created) {
+            n = pages_for(proc.shared_text);
+            pager.Prefault(*seg.space, 0, n);
+            pages += static_cast<int64_t>(n);
+          }
+        }
+      }
+      pager.Prefault(*pager.CreateAddressSpace("editor-ws", true), 0,
+                     profile.editor_working_set_pages);
+      pages += static_cast<int64_t>(profile.editor_working_set_pages);
+    }
+    benchmark::DoNotOptimize(pager.frames_used());
+  }
+  state.SetItemsProcessed(state.iterations() * pages);
+}
+BENCHMARK(BM_PagerPrefault)->Arg(8)->Arg(64)->Arg(512)->Unit(benchmark::kMillisecond);
 
 // End-to-end cost of simulating a consolidated server: N concurrent typists, each with
 // its own protocol pipeline multiplexed over the shared link, with the latency-attribution

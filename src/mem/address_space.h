@@ -82,26 +82,33 @@ class AddressSpace {
   static constexpr uint32_t kEvicted = 1;
   static constexpr uint32_t kFrameBase = 2;
 
-  void EnsurePage(uint64_t vpn) {
-    if (vpn >= pages_.size()) {
-      pages_.resize(vpn + 1, kNever);
+  // Grows the page table to cover every vpn below `end` (one resize for a whole range).
+  void EnsurePages(uint64_t end) {
+    if (end > pages_.size()) {
+      pages_.resize(end, kNever);
     }
   }
   // Frame slot of a resident page (caller guarantees residency).
   uint32_t FrameOf(uint64_t vpn) const { return (pages_[vpn] - kFrameBase) >> 1; }
   void SetResidentInFrame(uint64_t vpn, uint32_t frame, bool dirty) {
-    EnsurePage(vpn);
+    EnsurePages(vpn + 1);
     uint32_t& e = pages_[vpn];
     if (e < kFrameBase) {
       ++resident_count_;
     }
     e = kFrameBase + (frame << 1) + (dirty ? 1u : 0u);
   }
+  // Range-prefault step: page `vpn` (not resident, table already grown) now lives clean
+  // in `frame`. The caller adds the run's length to the resident count once.
+  void SetCleanInFrameUncounted(uint64_t vpn, uint32_t frame) {
+    pages_[vpn] = kFrameBase + (frame << 1);
+  }
+  void AddResident(size_t n) { resident_count_ += n; }
   void MarkDirty(uint64_t vpn) { pages_[vpn] |= 1u; }
   void SetEvicted(uint64_t vpn);
   // MarkSwappedOut setup path: create a never-touched page directly in the evicted state.
   void MarkEvictedUntouched(uint64_t vpn) {
-    EnsurePage(vpn);
+    EnsurePages(vpn + 1);
     pages_[vpn] = kEvicted;
   }
 

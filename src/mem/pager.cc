@@ -13,6 +13,11 @@ Pager::Pager(Simulator& sim, Disk& disk, PagerConfig config)
     : sim_(sim), disk_(disk), config_(config) {
   assert(config_.total_frames > 0);
   assert(config_.cluster_pages >= 1);
+  // One reservation for the whole pool, so a login storm never copies the slab; the
+  // untouched tail is address space, not resident memory. Pools past 16 GiB of simulated
+  // RAM grow on demand instead, so a huge configured RAM cannot fail the reservation.
+  constexpr size_t kMaxReservedFrames = size_t{1} << 22;
+  frames_.reserve(std::min(config_.total_frames, kMaxReservedFrames));
 }
 
 void Pager::SetTracer(Tracer* tracer) {
@@ -489,16 +494,68 @@ void Pager::MarkSwappedOut(AddressSpace& as, uint64_t first, size_t count) {
 }
 
 void Pager::Prefault(AddressSpace& as, uint64_t first, size_t count) {
-  for (uint64_t vpn = first; vpn < first + count; ++vpn) {
-    bool was_missing = !as.IsResident(vpn);
-    MakeResident(as, vpn, /*write=*/false);
-    // Prefault is setup, not simulation: undo the accounting it produced.
-    if (was_missing) {
-      --faults_;
+  // Setup, not simulation: no hit/fault accounting and no trace instants. The range is
+  // walked in two kinds of step that together leave exactly the state `count` one-page
+  // touches would: a resident page is a recency touch, and a missing page evicts one
+  // frame when none is free, then opens a run of missing pages as long as the free
+  // frames last, placed by one PlaceRunAtTail call.
+  if (count == 0) {
+    return;
+  }
+  const uint64_t end = first + count;
+  as.EnsurePages(end);
+  uint64_t vpn = first;
+  while (vpn < end) {
+    if (as.IsResident(vpn)) {
+      TouchLru(as, vpn);
+      ++vpn;
+      continue;
+    }
+    if (frames_used_ >= config_.total_frames) {
+      EvictOneFrame(as);
+    }
+    size_t limit = std::min<uint64_t>(end - vpn, frames_free());
+    size_t n = 1;
+    while (n < limit && !as.IsResident(vpn + n)) {
+      ++n;
+    }
+    PlaceRunAtTail(as, vpn, n);
+    vpn += n;
+  }
+}
+
+void Pager::PlaceRunAtTail(AddressSpace& as, uint64_t first, size_t n) {
+  // Frames come in AllocFrame's order (free list LIFO, then the slab end) and are
+  // written as one chain already linked to each other; only the old MRU tail's `next`
+  // is patched to splice it in.
+  uint32_t prev = lru_tail_;
+  auto place = [&](uint32_t f, uint64_t vpn) {
+    frames_[f] = Frame{&as, vpn, prev, kNilFrame};
+    if (prev != kNilFrame) {
+      frames_[prev].next = f;
     } else {
-      --hits_;
+      lru_head_ = f;
+    }
+    as.SetCleanInFrameUncounted(vpn, f);
+    prev = f;
+  };
+  uint64_t vpn = first;
+  const uint64_t end = first + n;
+  for (; vpn < end && free_head_ != kNilFrame; ++vpn) {
+    uint32_t f = free_head_;
+    free_head_ = frames_[f].next;
+    place(f, vpn);
+  }
+  if (vpn < end) {
+    uint32_t f = static_cast<uint32_t>(frames_.size());
+    frames_.resize(frames_.size() + (end - vpn));
+    for (; vpn < end; ++vpn) {
+      place(f++, vpn);
     }
   }
+  lru_tail_ = prev;
+  frames_used_ += n;
+  as.AddResident(n);
 }
 
 void Pager::RegisterRestorers(EventRearm& plan) {

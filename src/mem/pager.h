@@ -18,6 +18,17 @@
 // list+hash-map implementation (the golden corpus notices any deviation). At 512
 // consolidated logins (~1M page touches) this is the difference between the pager being
 // the profile's top entry and it disappearing into the noise.
+//
+// Login prefault is a range operation. Prefault walks its range once: each run of
+// non-resident pages that fits in the free frames grows the page table once, takes its
+// frames in AllocFrame's order (free list, then the slab end) as one chain linked in
+// place, splices that chain onto the MRU tail and bumps the counters once; a resident
+// page (a recency touch) or a page that needs an eviction takes the one-page step, so
+// eviction order and protected_skips are those of per-page prefaulting
+// (tests/mem_prefault_property_test.cc checks the two byte for byte). The frame slab
+// reserves total_frames slots up front (up to 16 GiB of simulated RAM), so a login storm
+// never copies it; the untouched tail of the reservation costs address space, not
+// resident memory.
 
 #ifndef TCS_SRC_MEM_PAGER_H_
 #define TCS_SRC_MEM_PAGER_H_
@@ -105,6 +116,8 @@ class Pager {
 
   // Makes [first, first+count) resident instantly with no simulated I/O — used to set up
   // initial conditions (a login's processes are loaded before the experiment starts).
+  // Setup, not simulation: it counts no faults or hits and emits no "fault" instants
+  // (evictions it forces are counted and traced as usual).
   void Prefault(AddressSpace& as, uint64_t first, size_t count);
 
   size_t total_frames() const { return config_.total_frames; }
@@ -203,6 +216,9 @@ class Pager {
   void UnlinkFrame(uint32_t f);
   void LinkFrameAtTail(uint32_t f);
   void FreeFrame(uint32_t f);
+  // Prefault's run step: makes the non-resident pages [first, first+n) resident in
+  // `n` free frames (caller guarantees n <= frames_free()), as n AllocFrame calls would.
+  void PlaceRunAtTail(AddressSpace& as, uint64_t first, size_t n);
   Duration ThrottleFor(const AddressSpace& as) const;
   // Drops every frame and in-flight entry belonging to `as` (teardown path).
   void DropFramesOf(AddressSpace& as);

@@ -9,7 +9,7 @@ namespace {
 constexpr int kArity = 4;
 }  // namespace
 
-EventId EventQueue::Schedule(TimePoint when, Callback cb) {
+EventId EventQueue::Insert(TimePoint when, uint64_t seq, Callback&& cb) {
   uint32_t slot;
   if (!free_.empty()) {
     slot = free_.back();
@@ -20,15 +20,22 @@ EventId EventQueue::Schedule(TimePoint when, Callback cb) {
       chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
     }
   }
-  uint64_t seq = next_seq_++;
   Slot& s = SlotAt(slot);
   s.seq = seq;
   s.when = when;
   s.cb = std::move(cb);
-  heap_.resize(heap_.size() + 1);
+  heap_.emplace_back();
   SiftUp(heap_.size() - 1, HeapEntry{when, seq, slot});
   ++live_;
   return EventId((static_cast<uint64_t>(slot) + 1) << 32 | s.generation);
+}
+
+EventId EventQueue::Schedule(TimePoint when, Callback cb) {
+  return Insert(when, next_seq_++, std::move(cb));
+}
+
+EventId EventQueue::ScheduleRestored(TimePoint when, uint64_t seq, Callback cb) {
+  return Insert(when, seq, std::move(cb));
 }
 
 void EventQueue::Clear() {
@@ -40,27 +47,6 @@ void EventQueue::Clear() {
   heap_.clear();
   live_ = 0;
   next_seq_ = 1;
-}
-
-EventId EventQueue::ScheduleRestored(TimePoint when, uint64_t seq, Callback cb) {
-  uint32_t slot;
-  if (!free_.empty()) {
-    slot = free_.back();
-    free_.pop_back();
-  } else {
-    slot = slot_count_++;
-    if ((slot & (kChunkSize - 1)) == 0) {
-      chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
-    }
-  }
-  Slot& s = SlotAt(slot);
-  s.seq = seq;
-  s.when = when;
-  s.cb = std::move(cb);
-  heap_.resize(heap_.size() + 1);
-  SiftUp(heap_.size() - 1, HeapEntry{when, seq, slot});
-  ++live_;
-  return EventId((static_cast<uint64_t>(slot) + 1) << 32 | s.generation);
 }
 
 uint32_t EventQueue::DecodeSlot(EventId id) const {
@@ -94,23 +80,17 @@ bool EventQueue::Cancel(EventId id) {
   // mismatch against the (released or recycled) slot identifies it as a tombstone.
   ReleaseSlot(slot);
   --live_;
+  SkipTombstones();  // keep the root live
   return true;
 }
 
-void EventQueue::SkipTombstones() const {
+void EventQueue::SkipTombstones() {
   while (!heap_.empty() && SlotAt(heap_[0].slot).seq != heap_[0].seq) {
     PopRoot();
   }
 }
 
-TimePoint EventQueue::NextTime() const {
-  SkipTombstones();
-  assert(!heap_.empty());
-  return heap_[0].when;
-}
-
 EventQueue::Callback EventQueue::Pop(TimePoint* when) {
-  SkipTombstones();
   assert(!heap_.empty());
   uint32_t slot = heap_[0].slot;
   *when = heap_[0].when;
@@ -118,10 +98,11 @@ EventQueue::Callback EventQueue::Pop(TimePoint* when) {
   PopRoot();
   ReleaseSlot(slot);
   --live_;
+  SkipTombstones();  // once per dispatch: the next root is live for NextTime()/Pop()
   return cb;
 }
 
-void EventQueue::SiftUp(size_t pos, HeapEntry e) const {
+void EventQueue::SiftUp(size_t pos, HeapEntry e) {
   while (pos > 0) {
     size_t parent = (pos - 1) / kArity;
     if (!Earlier(e, heap_[parent])) {
@@ -133,7 +114,7 @@ void EventQueue::SiftUp(size_t pos, HeapEntry e) const {
   heap_[pos] = e;
 }
 
-void EventQueue::SiftDown(size_t pos, HeapEntry e) const {
+void EventQueue::SiftDown(size_t pos, HeapEntry e) {
   const size_t n = heap_.size();
   for (;;) {
     size_t first = kArity * pos + 1;
@@ -156,7 +137,7 @@ void EventQueue::SiftDown(size_t pos, HeapEntry e) const {
   heap_[pos] = e;
 }
 
-void EventQueue::PopRoot() const {
+void EventQueue::PopRoot() {
   HeapEntry tail = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) {

@@ -10,12 +10,15 @@
 // slot's next tenant. Ordering lives in an index-based 4-ary min-heap whose entries carry
 // their own (time, sequence) sort key, so sift loops stay inside one contiguous array —
 // no per-comparison chase into the slab. Cancelled events leave a tombstone in the heap
-// (detected by sequence mismatch against the slot) that is discarded when it surfaces.
+// (detected by sequence mismatch against the slot) that is discarded when it surfaces:
+// Pop and Cancel clear tombstones off the root before returning, so NextTime and the
+// next Pop read a live root directly.
 // Callbacks are InlineCallback, so the common `this`-capturing lambdas never allocate.
 
 #ifndef TCS_SRC_SIM_EVENT_QUEUE_H_
 #define TCS_SRC_SIM_EVENT_QUEUE_H_
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -63,7 +66,10 @@ class EventQueue {
   size_t size() const { return live_; }
 
   // Time of the earliest pending event. Must not be called on an empty queue.
-  TimePoint NextTime() const;
+  TimePoint NextTime() const {
+    assert(!heap_.empty());
+    return heap_[0].when;
+  }
 
   // Removes and returns the earliest pending event's callback, storing its time in
   // `when`. Must not be called on an empty queue.
@@ -154,18 +160,22 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
+  // Schedule/ScheduleRestored body: takes a slot (free list first) and heaps the event.
+  EventId Insert(TimePoint when, uint64_t seq, Callback&& cb);
+
   // Sink `e` into the heap starting from the hole at `pos`.
-  void SiftUp(size_t pos, HeapEntry e) const;
-  void SiftDown(size_t pos, HeapEntry e) const;
+  void SiftUp(size_t pos, HeapEntry e);
+  void SiftDown(size_t pos, HeapEntry e);
   // Removes the root entry, refilling the hole from the heap's tail.
-  void PopRoot() const;
-  // Drops cancelled entries from the head of the heap.
-  void SkipTombstones() const;
+  void PopRoot();
+  // Drops cancelled entries from the head of the heap. Called wherever the root can
+  // become a tombstone (after Pop and Cancel), so the root is always live.
+  void SkipTombstones();
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   uint32_t slot_count_ = 0;          // slots handed out so far (all chunks, used or free)
   std::vector<uint32_t> free_;       // indices of vacant slots (LIFO, so reuse stays warm)
-  mutable std::vector<HeapEntry> heap_;  // 4-ary min-heap keyed by (when, seq)
+  std::vector<HeapEntry> heap_;      // 4-ary min-heap keyed by (when, seq); root is live
   size_t live_ = 0;                  // pending events (heap size minus tombstones)
   uint64_t next_seq_ = 1;
 };

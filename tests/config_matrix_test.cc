@@ -66,6 +66,10 @@ struct OsCase {
   OsProfile (*make)();
 };
 
+// Without a printer gtest dumps the raw pointer bytes, which differ run to run under
+// address-space randomisation and make the listed test names unstable.
+void PrintTo(const OsCase& c, std::ostream* os) { *os << c.name; }
+
 class OsMatrix : public ::testing::TestWithParam<OsCase> {};
 INSTANTIATE_TEST_SUITE_P(
     AllProfiles, OsMatrix,

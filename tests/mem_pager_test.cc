@@ -90,6 +90,21 @@ TEST(PagerTest, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(f.pager.evictions(), 1);
 }
 
+TEST(PagerTest, PrefaultOfResidentPagesRefreshesTheirRecency) {
+  PagerFixture f(SmallMemory(4));
+  AddressSpace* as = f.pager.CreateAddressSpace("p", false);
+  f.pager.Prefault(*as, 0, 3);  // LRU order 0,1,2
+  f.pager.Prefault(*as, 0, 2);  // touches 0,1 -> LRU order 2,0,1
+  f.pager.Prefault(*as, 3, 2);  // page 3 takes the free frame, page 4 evicts 2
+  EXPECT_FALSE(as->IsResident(2));
+  for (uint64_t vpn : {0, 1, 3, 4}) {
+    EXPECT_TRUE(as->IsResident(vpn)) << vpn;
+  }
+  EXPECT_EQ(f.pager.evictions(), 1);
+  EXPECT_EQ(f.pager.faults(), 0);  // setup, not simulation
+  EXPECT_EQ(f.pager.hits(), 0);
+}
+
 TEST(PagerTest, DirtyEvictionTriggersWriteback) {
   PagerFixture f(SmallMemory(2));
   AddressSpace* as = f.pager.CreateAddressSpace("p", false);

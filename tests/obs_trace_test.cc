@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/checkpoint.h"
 #include "src/core/experiments.h"
 #include "src/core/parallel_sweep.h"
 #include "src/obs/metrics.h"
 #include "src/session/os_profile.h"
+#include "src/session/server.h"
 
 // Allocation counter for the null-sink test. Overriding the global operators in this
 // binary lets the test assert that filtered-out trace calls perform zero allocations.
@@ -138,6 +140,34 @@ TEST(ObservedRunTest, CategoryMaskRestrictsObservedRun) {
   EXPECT_NE(json.find("\"cat\":\"proto\""), std::string::npos);
   EXPECT_EQ(json.find("\"cat\":\"cpu\""), std::string::npos);
   EXPECT_EQ(json.find("\"cat\":\"sim\""), std::string::npos);
+}
+
+// Login prefault is setup, not simulation: the pager's fault counter leaves it out, and
+// so must the trace. Memory here is tight enough that the logins themselves evict and
+// the typists fault during the run, so both paths are exercised.
+TEST(ObservedRunTest, TraceFaultInstantsMatchThePagerFaultCounter) {
+  Tracer tracer(TracerConfig{static_cast<uint32_t>(TraceCategory::kMem)});
+  ObsConfig obs;
+  obs.tracer = &tracer;
+  ConsolidationOptions options;
+  options.users = 6;
+  options.duration = Duration::Seconds(3);
+  options.ram = Bytes::MiB(40);
+  options.burst_cpu = Duration::Millis(300);
+  ConsolidationRun run(OsProfile::Tse(), options, &obs);
+  const Pager& pager = run.server().pager();
+  ASSERT_GT(pager.evictions(), 0);  // the login prefaults overflowed memory
+  ASSERT_EQ(pager.faults(), 0);
+  run.RunToEnd();
+  ASSERT_GT(pager.faults(), 0);
+  std::string json = tracer.ToJson();
+  int64_t fault_instants = 0;
+  const std::string needle = "\"name\":\"fault\",\"cat\":\"mem\"";
+  for (size_t at = json.find(needle); at != std::string::npos;
+       at = json.find(needle, at + 1)) {
+    ++fault_instants;
+  }
+  EXPECT_EQ(fault_instants, pager.faults());
 }
 
 TEST(TracerTest, FlowIdsMintSequentiallyFromOne) {
