@@ -1,7 +1,9 @@
 // Golden-report regression corpus.
 //
-// A small OS x protocol x load matrix of consolidation runs (plus one capacity search)
-// is rendered to report JSON and compared field-exactly against the canonical files in
+// A small OS x protocol x load matrix of consolidation runs, one capacity search, and
+// one or more cells of every interactive experiment (end-to-end, chaos, all four WAN
+// profiles with degradation off and on, what-if, consolidation over WAN) are rendered
+// to report JSON and compared field-exactly against the canonical files in
 // tests/golden/. Only run.wall_ms — the one nondeterministic field in any report — is
 // neutralized before comparison. Any change to simulation behavior, report field order,
 // or number formatting shows up as a diff here.
@@ -23,6 +25,7 @@
 #include "src/core/admission.h"
 #include "src/core/checkpoint.h"
 #include "src/core/report.h"
+#include "src/obs/attribution.h"
 #include "src/session/os_profile.h"
 
 namespace tcs {
@@ -136,7 +139,18 @@ OsProfile LinuxLbx() {
   return profile;
 }
 
-// The corpus: OS x protocol x users, plus one full capacity search.
+std::string Wan(const char* profile, bool degrade) {
+  WanOptions opt;
+  opt.profile = WanProfileByName(profile);
+  opt.degrade = degrade;
+  opt.users = 3;
+  opt.duration = Duration::Seconds(5);
+  opt.seed = 1;
+  return ToJson(RunWanPoint(OsProfile::Tse(), opt));
+}
+
+// The corpus: OS x protocol x users, one full capacity search, and every interactive
+// experiment (e2e, chaos, the WAN sweep's 8 cells, what-if, consolidation over WAN).
 const GoldenCase kCases[] = {
     {"consolidation_tse_rdp_u1", [] { return Consolidation(OsProfile::Tse(), 1); }},
     {"consolidation_tse_rdp_u3", [] { return Consolidation(OsProfile::Tse(), 3); }},
@@ -151,6 +165,72 @@ const GoldenCase kCases[] = {
        opt.max_users = 4;
        opt.behavior.duration = Duration::Seconds(5);
        return ToJson(RunServerCapacity(OsProfile::Tse(), opt));
+     }},
+    {"e2e_tse_lan",
+     [] {
+       EndToEndOptions opt;
+       opt.duration = Duration::Seconds(5);
+       return ToJson(RunEndToEndLatency(OsProfile::Tse(), opt));
+     }},
+    {"e2e_linux_lossy_winterm",
+     [] {
+       // Lossy link, non-default client, Poisson background and server load, with an
+       // attribution engine supplied by the caller.
+       EndToEndOptions opt;
+       opt.sinks = 2;
+       opt.background_mbps = 2.0;
+       opt.client = ThinClientConfig::WinTerm();
+       opt.duration = Duration::Seconds(5);
+       opt.seed = 3;
+       opt.faults.seed = 11;
+       opt.faults.link.loss_rate = 0.02;
+       LatencyAttribution attribution;
+       ObsConfig obs;
+       obs.attribution = &attribution;
+       return ToJson(RunEndToEndLatency(OsProfile::LinuxX(), opt, &obs));
+     }},
+    {"chaos_tse_all_faults",
+     [] {
+       ChaosOptions opt;
+       opt.loss_rate = 0.02;
+       opt.flap_every = Duration::Seconds(1);
+       opt.flap_duration = Duration::Millis(50);
+       opt.disk_stall_rate = 0.05;
+       opt.disconnect_every = Duration::Seconds(2);
+       opt.sinks = 1;
+       opt.duration = Duration::Seconds(5);
+       opt.seed = 5;
+       return ToJson(RunChaosPoint(OsProfile::Tse(), opt));
+     }},
+    {"wan_dsl_off", [] { return Wan("dsl", false); }},
+    {"wan_dsl_on", [] { return Wan("dsl", true); }},
+    {"wan_lte_off", [] { return Wan("lte", false); }},
+    {"wan_lte_on", [] { return Wan("lte", true); }},
+    {"wan_satellite_off", [] { return Wan("satellite", false); }},
+    {"wan_satellite_on", [] { return Wan("satellite", true); }},
+    {"wan_congested_office_off", [] { return Wan("congested-office", false); }},
+    {"wan_congested_office_on", [] { return Wan("congested-office", true); }},
+    {"whatif_lte_link",
+     [] {
+       WhatIfOptions opt;
+       opt.wan.profile = WanProfileByName("lte");
+       opt.wan.users = 3;
+       opt.wan.duration = Duration::Seconds(5);
+       opt.adjust.component = WhatIfAdjustment::Component::kLink;
+       opt.adjust.speedup = 2.0;
+       return ToJson(RunWhatIf(OsProfile::Tse(), opt));
+     }},
+    {"consolidation_tse_rdp_u3_satellite_degrade",
+     [] {
+       ConsolidationOptions opt;
+       opt.users = 3;
+       opt.duration = Duration::Seconds(5);
+       opt.seed = 1;
+       opt.burst_cpu = Duration::Millis(200);
+       opt.keystroke_period = Duration::Millis(200);
+       opt.wan = WanProfileByName("satellite");
+       opt.degrade = true;
+       return ToJson(RunConsolidation(OsProfile::Tse(), opt));
      }},
 };
 
