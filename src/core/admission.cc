@@ -84,9 +84,19 @@ bool Admits(AdmissionPolicy policy, const AdmissionConfig& admission,
   return false;
 }
 
-CapacityResult RunServerCapacity(const OsProfile& profile,
-                                 const CapacityOptions& options_in,
+CapacityResult RunServerCapacity(const OsProfile& profile, const CapacityOptions& options,
                                  const ObsConfig* obs) {
+  return SearchCapacity(profile, options, obs,
+                        [&profile](const ConsolidationOptions& copt,
+                                   const ObsConfig* probe_obs) {
+                          return RunConsolidation(profile, copt, probe_obs);
+                        });
+}
+
+namespace run_support {
+
+CapacityResult SearchCapacity(const OsProfile& profile, const CapacityOptions& options_in,
+                              const ObsConfig* obs, const CapacityProbe& probe) {
   CapacityOptions options = Validated(options_in);
 
   // One evaluation per candidate N, shared between both policies' searches. Every
@@ -119,7 +129,7 @@ CapacityResult RunServerCapacity(const OsProfile& profile,
         probe_slo.name += "_u" + std::to_string(users);
         probe_obs.slo = &probe_slo;
       }
-      it = memo.emplace(users, RunConsolidation(profile, copt, &probe_obs)).first;
+      it = memo.emplace(users, probe(copt, &probe_obs)).first;
     }
     return it->second;
   };
@@ -155,4 +165,5 @@ CapacityResult RunServerCapacity(const OsProfile& profile,
   return result;
 }
 
+}  // namespace run_support
 }  // namespace tcs

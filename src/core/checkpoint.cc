@@ -57,39 +57,6 @@ struct StallTap {
   TimePoint last;
 };
 
-bool WanActive(const WanProfile& p) {
-  return p.extra_delay > Duration::Zero() || p.jitter > Duration::Zero() ||
-         p.down_rate.bps() > 0 || p.up_rate.bps() > 0 || p.queue_bytes.count() > 0 ||
-         p.ge_p_good_to_bad > 0.0 || p.ge_loss_good > 0.0 || p.ge_loss_bad > 0.0;
-}
-
-// Mirrors RunWanPoint's WAN wiring onto a consolidation config. Gated so the default
-// (no WAN, no degradation) path leaves the config untouched and the run byte-identical
-// to what RunConsolidation always produced.
-void ApplyWanKnobs(ServerConfig& cfg, const ConsolidationOptions& o) {
-  if (!WanActive(o.wan) && !o.degrade) {
-    return;
-  }
-  cfg.faults.seed = o.seed ^ 0xFA017u;
-  cfg.faults.link.wan.extra_delay = o.wan.extra_delay;
-  cfg.faults.link.wan.jitter = o.wan.jitter;
-  cfg.faults.link.wan.down_rate = o.wan.down_rate;
-  cfg.faults.link.wan.up_rate = o.wan.up_rate;
-  cfg.faults.link.wan.queue_bytes = o.wan.queue_bytes;
-  cfg.faults.link.wan.ge_p_good_to_bad = o.wan.ge_p_good_to_bad;
-  cfg.faults.link.wan.ge_p_bad_to_good = o.wan.ge_p_bad_to_good;
-  cfg.faults.link.wan.ge_loss_good = o.wan.ge_loss_good;
-  cfg.faults.link.wan.ge_loss_bad = o.wan.ge_loss_bad;
-  cfg.degradation.enabled = o.degrade;
-  // Arm the controller only once the warm-up (login storm, first desktop paint) is
-  // over, so its ledger records WAN congestion rather than setup transients.
-  cfg.degradation.start_delay = Duration::Seconds(2);
-  if (o.wan.queue_bytes.count() > 0) {
-    cfg.degradation.level_step = Bytes::Of(std::max<int64_t>(
-        Bytes::KiB(8).count(), o.wan.queue_bytes.count() / 4));
-  }
-}
-
 }  // namespace
 
 const char* CheckpointSectionName(uint32_t tag) {
@@ -138,7 +105,12 @@ ConsolidationRun::ConsolidationRun(const OsProfile& profile,
   cfg.cpu.processors = options.processors;
   cfg.ram = options.ram;
   cfg.eviction = options.eviction;
-  ApplyWanKnobs(cfg, options);
+  // Gated so the default (no WAN, no degradation) path leaves the config untouched:
+  // the fault RNG is serialized into snapshots, and the run stays byte-identical to
+  // what RunConsolidation always produced.
+  if (options.wan.Any() || options.degrade) {
+    ApplyWan(cfg, options.wan, options.degrade, options.seed);
+  }
   ApplyObs(cfg, obs);
   im.slo = std::make_unique<SloRuntime>(im.sim, obs);
   im.slo->ApplyTo(cfg);
@@ -376,80 +348,32 @@ ConsolidationResult ResumeConsolidation(const OsProfile& profile,
 }
 
 CapacityResult RunServerCapacityCheckpointed(const OsProfile& profile,
-                                             const CapacityOptions& options_in,
+                                             const CapacityOptions& options,
                                              CapacityCheckpointCache& cache,
                                              const ObsConfig* obs) {
-  CapacityOptions options = Validated(options_in);
-
-  // Same memoized-probe frame as RunServerCapacity (one evaluation per candidate N,
-  // shared between both policies), but each candidate's prefix — login storm and daemon
+  // RunServerCapacity's search, but each candidate's prefix — login storm and daemon
   // warm-up, up to 1 ms before the first typist keystroke — is snapshotted on first
   // evaluation and forked from on every later one. The prefix point precedes the first
   // minted interaction, so a fork's fresh attribution engine is exactly the cold run's.
-  std::map<int, ConsolidationResult> memo;
-  auto evaluate = [&](int users) -> const ConsolidationResult& {
-    auto it = memo.find(users);
-    if (it == memo.end()) {
-      ConsolidationOptions copt = options.behavior;
-      copt.users = users;
-      AttributionConfig probe_attr;
-      probe_attr.tracer = obs != nullptr ? obs->tracer : nullptr;
-      LatencyAttribution probe_blame(probe_attr);
-      ObsConfig probe_obs;
-      probe_obs.tracer = probe_attr.tracer;
-      probe_obs.attribution = &probe_blame;
-      SloSpec probe_slo;
-      if (obs != nullptr && obs->slo != nullptr && obs->slo->Any()) {
-        probe_slo = *obs->slo;
-        probe_slo.name += "_u" + std::to_string(users);
-        probe_obs.slo = &probe_slo;
-      }
-      ConsolidationRun run(profile, copt, &probe_obs);
-      Duration prefix = copt.start_delay - Duration::Millis(1);
-      if (prefix > Duration::Zero()) {
-        auto cached = cache.prefix.find(users);
-        if (cached == cache.prefix.end()) {
-          ++cache.misses;
-          run.RunUntil(TimePoint::Zero() + prefix);
-          cache.prefix.emplace(users, run.Snapshot());
-        } else {
-          ++cache.hits;
-          run.Restore(cached->second);
+  return SearchCapacity(
+      profile, options, obs,
+      [&profile, &cache](const ConsolidationOptions& copt, const ObsConfig* probe_obs) {
+        ConsolidationRun run(profile, copt, probe_obs);
+        Duration prefix = copt.start_delay - Duration::Millis(1);
+        if (prefix > Duration::Zero()) {
+          auto cached = cache.prefix.find(copt.users);
+          if (cached == cache.prefix.end()) {
+            ++cache.misses;
+            run.RunUntil(TimePoint::Zero() + prefix);
+            cache.prefix.emplace(copt.users, run.Snapshot());
+          } else {
+            ++cache.hits;
+            run.Restore(cached->second);
+          }
         }
-      }
-      run.RunToEnd();
-      it = memo.emplace(users, run.Finish()).first;
-    }
-    return it->second;
-  };
-  auto max_admitted = [&](AdmissionPolicy policy) {
-    int lo = 0;  // invariant: lo == 0 or lo admitted; everything above hi rejected
-    int hi = options.max_users;
-    while (lo < hi) {
-      int mid = lo + (hi - lo + 1) / 2;
-      if (Admits(policy, options.admission, evaluate(mid))) {
-        lo = mid;
-      } else {
-        hi = mid - 1;
-      }
-    }
-    return lo;
-  };
-
-  CapacityResult result;
-  result.os_name = profile.name;
-  result.protocol = ProtocolName(profile.protocol_kind);
-  result.latency_sized_users = max_admitted(AdmissionPolicy::kLatency);
-  result.utilization_sized_users = max_admitted(AdmissionPolicy::kUtilization);
-  result.utilization_over_admits =
-      result.utilization_sized_users > result.latency_sized_users;
-  for (auto& [users, probe] : memo) {
-    result.run.events_executed += probe.run.events_executed;
-    result.run.pending_events += probe.run.pending_events;
-    result.run.wall_ms += probe.run.wall_ms;
-    result.probes.push_back(std::move(probe));
-  }
-  return result;
+        run.RunToEnd();
+        return run.Finish();
+      });
 }
 
 }  // namespace tcs

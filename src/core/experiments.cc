@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "src/util/percentile_sketch.h"
@@ -569,67 +571,345 @@ SizingPoint RunServerSizing(const OsProfile& profile, int users, SizingBehavior 
   return point;
 }
 
-EndToEndResult RunEndToEndLatency(const OsProfile& profile, const EndToEndOptions& options,
-                                  const ObsConfig* obs) {
+// ---------------------------------------------------------------------------
+// Interactive runs: end-to-end, chaos, and WAN points
+//
+// All three are the paper's one measurement: users type at a fixed repeat rate and the
+// time from keystroke to echo paint is recorded. RunInteractive is that run for N
+// typists, with per-user latency and starvation accounting and an optional background
+// media session; RunWanPoint is it as is, and RunEndToEndLatency and RunChaosPoint are
+// its single-user projections.
+
+namespace {
+
+// What the single-session experiments add to a WanOptions run.
+struct InteractiveSpec {
+  // A prepared fault plan (e2e, chaos); null wires options.profile/degrade (ApplyWan).
+  const FaultPlan* faults = nullptr;
+  int sinks = 0;
+  ThinClientConfig client = ThinClientConfig::DesktopPc();
+  double background_mbps = 0.0;  // Poisson load sharing the session's link
+  // Attribute through a run-local engine when the ObsConfig carries none.
+  bool attribute = true;
+  // E2E/chaos semantics: the SLO watchdog is armed before the typists start (so it runs
+  // first when its tick and a keystroke coincide), scores no starvation, and settles
+  // availability on the link alone.
+  bool single_session = false;
+  // Called on every painted echo.
+  std::function<void(const KeystrokeLatency&)> on_paint;
+};
+
+WanPoint RunInteractive(const OsProfile& profile, const WanOptions& options,
+                        const InteractiveSpec& spec, const ObsConfig* obs) {
   WallClock::time_point t0 = WallClock::now();
   Simulator sim;
   ServerConfig cfg;
   cfg.seed = options.seed;
-  cfg.faults = options.faults;
+  if (spec.faults != nullptr) {
+    cfg.faults = *spec.faults;
+  } else {
+    ApplyWan(cfg, options.profile, options.degrade, options.seed);
+  }
+  // Virtual hardware for the what-if achieved arm. Gated on != 1.0 so stock cells keep
+  // their exact bytes (no float math touches the configs on the default path).
+  if (options.cpu_speed != 1.0) {
+    cfg.cpu.speed *= options.cpu_speed;
+  }
+  if (options.disk_speedup != 1.0) {
+    const double k = options.disk_speedup;
+    auto faster = [k](Duration d) {
+      return Duration::Micros(
+          std::llround(static_cast<double>(d.ToMicros()) / k));
+    };
+    cfg.disk.positioning_mean = faster(cfg.disk.positioning_mean);
+    cfg.disk.positioning_stddev = faster(cfg.disk.positioning_stddev);
+    cfg.disk.positioning_min = faster(cfg.disk.positioning_min);
+    cfg.disk.transfer_rate = BitsPerSecond::Of(
+        std::llround(static_cast<double>(cfg.disk.transfer_rate.bps()) * k));
+  }
   ApplyObs(cfg, obs);
   SloRuntime slo(sim, obs);
   slo.ApplyTo(cfg);
+  // Chaos and WAN points always attribute: the blame table is how a loss sweep shows
+  // retransmit time moving into the network stages, and how degradation shows its work.
+  std::optional<LatencyAttribution> local_attribution;
+  if (spec.attribute) {
+    AttributionConfig attr_cfg;
+    attr_cfg.tracer = obs != nullptr ? obs->tracer : nullptr;
+    attr_cfg.recorder = cfg.recorder;
+    local_attribution.emplace(attr_cfg);
+    if (cfg.attribution == nullptr) {
+      cfg.attribution = &*local_attribution;
+    }
+    if (slo.active()) {
+      slo.watchdog()->SetAttribution(cfg.attribution);
+    }
+  }
+  LatencyAttribution* attribution = cfg.attribution;
   AttachSimHook(sim, obs);
   Server server(sim, profile, cfg);
   SamplerScope sampler(sim, obs);
   server.StartDaemons();
-  server.AttachClient(options.client);
-  Session& session = server.Login();
-  server.StartSinks(options.sinks);
+  server.AttachClient(spec.client);
 
-  std::unique_ptr<PoissonTrafficGenerator> background;
-  if (options.background_mbps > 0.0) {
-    background = std::make_unique<PoissonTrafficGenerator>(
+  const Duration start_delay = Duration::Seconds(2);  // past session setup and warm-up
+  // A user counts as starved while some keystroke echo has been pending for longer than
+  // starve_after: per painted batch the window [keystroke + starve_after, painted],
+  // unioned via counted_through so overlapping batches are not double-billed. This
+  // catches both total paint droughts and sustained bufferbloat lag (echoes flowing, but
+  // every one of them seconds old).
+  struct User {
+    Session* session = nullptr;
+    std::unique_ptr<Typist> typist;
+    LatencyRecorder latency;
+    TimePoint counted_through;       // starved time accounted up to here
+    bool pending = false;            // a keystroke awaiting its echo
+    TimePoint pending_since;
+    Duration starved = Duration::Zero();
+    int64_t perceptible = 0;
+  };
+  std::vector<User> users(static_cast<size_t>(options.users));
+  auto start_typing = [&users, start_delay](size_t u) {
+    users[u].typist->Start(start_delay + Duration::Millis(7) * static_cast<int64_t>(u));
+  };
+  for (size_t u = 0; u < users.size(); ++u) {
+    User& wu = users[u];
+    wu.session = &server.Login();
+    wu.counted_through = TimePoint::Zero() + start_delay;
+    Duration starve_after = options.starve_after;
+    User* wp = &wu;
+    wu.session->set_on_frame_painted([wp, starve_after, threshold = options.threshold,
+                                      on_paint = &spec.on_paint](
+                                         const KeystrokeLatency& lat) {
+      wp->latency.Record(lat.total());
+      if (lat.total() > threshold) {
+        ++wp->perceptible;
+      }
+      TimePoint painted = lat.keystroke_at + lat.total();
+      TimePoint from = std::max(lat.keystroke_at + starve_after, wp->counted_through);
+      if (painted > from) {
+        wp->starved += painted - from;
+      }
+      if (painted > wp->counted_through) {
+        wp->counted_through = painted;
+      }
+      wp->pending = false;
+      if (*on_paint) {
+        (*on_paint)(lat);
+      }
+    });
+    Session* s = wu.session;
+    wu.typist = std::make_unique<Typist>(sim,
+                                         [&server, &sim, s, wp] {
+                                           if (!wp->pending) {
+                                             wp->pending = true;
+                                             wp->pending_since = sim.Now();
+                                           }
+                                           server.Keystroke(*s);
+                                         },
+                                         options.think_time);
+    if (!spec.single_session) {
+      start_typing(u);
+    }
+  }
+  server.StartSinks(spec.sinks);
+
+  std::unique_ptr<PoissonTrafficGenerator> poisson;
+  if (spec.background_mbps > 0.0) {
+    poisson = std::make_unique<PoissonTrafficGenerator>(
         sim, Rng(options.seed ^ 0xB06), server.link(),
-        BitsPerSecond::MbpsF(options.background_mbps), Bytes::Of(1500));
-    background->Start();
+        BitsPerSecond::MbpsF(spec.background_mbps), Bytes::Of(1500));
+    poisson->Start();
   }
 
-  RunningStats input_ms;
-  RunningStats server_ms;
-  RunningStats display_ms;
-  RunningStats client_ms;
-  RunningStats total_ms;
-  LatencyRecorder slo_latency;  // exact-microsecond stream for the live p99 objective
-  bool slo_active = slo.active();
-  session.set_on_frame_painted([&](const KeystrokeLatency& lat) {
-    input_ms.Add(lat.input_net.ToMillisF());
-    server_ms.Add(lat.server.ToMillisF());
-    display_ms.Add(lat.display_net.ToMillisF());
-    client_ms.Add(lat.client.ToMillisF());
-    total_ms.Add(lat.total().ToMillisF());
-    if (slo_active) {
-      slo_latency.Record(lat.total());
-    }
-  });
-  if (slo.active()) {
-    slo.watchdog()->SetWorstP99Source([&slo_latency] {
-      return slo_latency.PercentileMs(0.99);
+  // The background media session: a light login playing unique-frame video into the
+  // narrow downlink — the pressure source the degradation ladder sacrifices first.
+  std::unique_ptr<Animation> background;
+  if (options.background_session) {
+    Session* background_session = &server.Login(/*light_session=*/true);
+    server.SetBackground(*background_session, true);
+    AnimationConfig ac;
+    ac.id = 0x8AC6;
+    // ~4.7 Mbps of media: heavier than every profile's downlink, so without degradation
+    // the drop-tail queue sits pinned at its bound and interactive echoes tail-drop too.
+    ac.width = 512;
+    ac.height = 384;
+    ac.frame_period = Duration::Millis(100);  // 10 fps media
+    // Every frame unique over the run so the bitmap cache cannot absorb the stream.
+    ac.frame_count = static_cast<int>(options.duration / ac.frame_period) + 64;
+    ac.compression_ratio = 0.3;
+    background = std::make_unique<Animation>(sim, background_session->protocol(), ac);
+    background->set_frame_gate([&server] {
+      DegradationController* d = server.degradation();
+      if (d == nullptr) {
+        return true;
+      }
+      if (d->BackgroundPaused()) {
+        return false;
+      }
+      return !d->ShouldDropAnimationFrame();
     });
+    background->Start(start_delay);
+  }
+
+  if (slo.active()) {
+    slo.watchdog()->SetWorstP99Source([&users] {
+      double worst = 0.0;
+      for (const User& wu : users) {
+        worst = std::max(worst, wu.latency.PercentileMs(0.99));
+      }
+      return worst;
+    });
+    if (!spec.single_session) {
+      slo.watchdog()->SetStarvationSource([&users, &sim,
+                                           starve_after = options.starve_after] {
+        // Live view: fraction of users with an echo pending beyond the starvation
+        // threshold right now.
+        int starved = 0;
+        for (const User& wu : users) {
+          if (wu.pending && sim.Now() - wu.pending_since > starve_after) {
+            ++starved;
+          }
+        }
+        return users.empty() ? 0.0
+                             : static_cast<double>(starved) /
+                                   static_cast<double>(users.size());
+      });
+    }
     slo.watchdog()->SetLinkBacklogSource([&server, &sim] {
       return server.link().BacklogBytesAt(sim.Now()).count();
     });
     slo.Start();
   }
+  if (spec.single_session) {
+    for (size_t u = 0; u < users.size(); ++u) {
+      start_typing(u);
+    }
+  }
 
-  Typist typist(sim, [&server, &session] { server.Keystroke(session); });
-  typist.Start(Duration::Seconds(2));  // past session setup and warm-up
-  sim.RunUntil(TimePoint::Zero() + Duration::Seconds(2) + options.duration);
-  typist.Stop();
-  if (background) {
+  sim.RunUntil(TimePoint::Zero() + start_delay + options.duration);
+  for (User& wu : users) {
+    wu.typist->Stop();
+  }
+  if (poisson != nullptr) {
+    poisson->Stop();
+  }
+  if (background != nullptr) {
     background->Stop();
   }
-  sim.RunFor(Duration::Seconds(1));  // drain in-flight updates
+  sim.RunFor(Duration::Seconds(1));  // drain retransmissions and in-flight updates
+
+  // Close each user's final paint gap at the post-drain horizon.
+  TimePoint horizon = sim.Now();
+  Duration active = horizon - (TimePoint::Zero() + start_delay);
+  Duration total_run = start_delay + options.duration + Duration::Seconds(1);
+
+  WanPoint point;
+  point.os_name = profile.name;
+  point.profile = options.profile.name;
+  point.degrade = options.degrade;
+  point.users = options.users;
+  double mean_us_sum = 0.0;
+  double worst_starved = 0.0;
+  double starved_sum = 0.0;
+  int64_t perceptible = 0;
+  for (User& wu : users) {
+    // Close a still-pending echo at the horizon: starved from pending_since +
+    // starve_after (or wherever accounting already reached) to the end of the run.
+    if (wu.pending) {
+      TimePoint from =
+          std::max(wu.pending_since + options.starve_after, wu.counted_through);
+      if (horizon > from) {
+        wu.starved += horizon - from;
+      }
+    }
+    double starved_frac =
+        active > Duration::Zero() ? std::min(1.0, wu.starved / active) : 0.0;
+    worst_starved = std::max(worst_starved, starved_frac);
+    starved_sum += starved_frac;
+    point.worst_p99_ms = std::max(point.worst_p99_ms, wu.latency.PercentileMs(0.99));
+    point.updates += wu.latency.count();
+    perceptible += wu.perceptible;
+    // Count-weighted aggregate mean from the exact per-user microsecond accumulators.
+    mean_us_sum += static_cast<double>(wu.latency.Mean().ToMicros()) *
+                   static_cast<double>(wu.latency.count());
+  }
+  point.mean_ms =
+      point.updates > 0 ? mean_us_sum / static_cast<double>(point.updates) / 1000.0 : 0.0;
+  point.perceptible_fraction =
+      point.updates > 0
+          ? static_cast<double>(perceptible) / static_cast<double>(point.updates)
+          : 0.0;
+  point.worst_starved_fraction = worst_starved;
+  point.faults = server.CollectFaultStats(total_run);
+  double mean_starved =
+      users.empty() ? 0.0 : starved_sum / static_cast<double>(users.size());
+  // Effective availability: the link's own availability (outage-driven; 1.0 for pure WAN
+  // pathology) scaled by the fraction of user time frames actually flowed.
+  double link_avail = point.faults.active ? point.faults.availability : 1.0;
+  point.availability = link_avail * (1.0 - mean_starved);
+  if (DegradationController* d = server.degradation()) {
+    for (const DegradationTransition& tr : d->transitions()) {
+      point.degradation_peak_level = std::max(point.degradation_peak_level, tr.to);
+    }
+    point.degradation_transitions = static_cast<int64_t>(d->transitions().size());
+    point.degraded_seconds = d->DegradedTimeThrough(horizon).ToSecondsF();
+    point.animation_frames_skipped = d->animation_frames_dropped();
+  }
+  if (background != nullptr) {
+    point.background_frames_drawn = background->frames_drawn();
+  }
+  point.link_frames_sent = server.link().frames_sent();
+  point.link_frames_delivered = server.link().frames_delivered();
+  point.link_frames_lost = server.link().frames_lost();
+  point.retransmissions = server.reliable() != nullptr
+                              ? static_cast<int64_t>(server.reliable()->retransmissions())
+                              : 0;
+  if (attribution != nullptr) {
+    point.blame = attribution->Collect();
+  }
+  slo.Finish(point.slo,
+             spec.single_session ? point.faults.availability : point.availability);
+  FinishRun(point.run, sim, t0);
+  return point;
+}
+
+// E2E and chaos: one typist at the 20 Hz repeat rate and no media session.
+WanOptions SingleSession(Duration duration, uint64_t seed) {
+  WanOptions run;
+  run.users = 1;
+  run.background_session = false;
+  run.duration = duration;
+  run.seed = seed;
+  run.think_time = Duration::Millis(50);
+  return run;
+}
+
+}  // namespace
+
+EndToEndResult RunEndToEndLatency(const OsProfile& profile, const EndToEndOptions& options,
+                                  const ObsConfig* obs) {
+  InteractiveSpec spec;
+  spec.faults = &options.faults;
+  spec.sinks = options.sinks;
+  spec.client = options.client;
+  spec.background_mbps = options.background_mbps;
+  spec.attribute = false;
+  spec.single_session = true;
+  RunningStats input_ms;
+  RunningStats server_ms;
+  RunningStats display_ms;
+  RunningStats client_ms;
+  RunningStats total_ms;
+  spec.on_paint = [&](const KeystrokeLatency& lat) {
+    input_ms.Add(lat.input_net.ToMillisF());
+    server_ms.Add(lat.server.ToMillisF());
+    display_ms.Add(lat.display_net.ToMillisF());
+    client_ms.Add(lat.client.ToMillisF());
+    total_ms.Add(lat.total().ToMillisF());
+  };
+  WanPoint p = RunInteractive(profile, SingleSession(options.duration, options.seed), spec,
+                              obs);
 
   EndToEndResult result;
   result.os_name = profile.name;
@@ -639,100 +919,56 @@ EndToEndResult RunEndToEndLatency(const OsProfile& profile, const EndToEndOption
   result.display_net_ms = display_ms.mean();
   result.client_ms = client_ms.mean();
   result.total_ms = total_ms.mean();
-  result.updates = total_ms.count();
-  result.faults =
-      server.CollectFaultStats(Duration::Seconds(2) + options.duration + Duration::Seconds(1));
-  CollectBlame(result.blame, obs);
-  slo.Finish(result.slo, result.faults.availability);
-  FinishRun(result.run, sim, t0);
+  result.updates = p.updates;
+  result.faults = p.faults;
+  result.blame = std::move(p.blame);
+  result.slo = std::move(p.slo);
+  result.run = p.run;
   return result;
 }
 
 ChaosPoint RunChaosPoint(const OsProfile& profile, const ChaosOptions& options,
                          const ObsConfig* obs) {
-  WallClock::time_point t0 = WallClock::now();
-  Simulator sim;
-  ServerConfig cfg;
-  cfg.seed = options.seed;
-  cfg.faults.seed = options.seed ^ 0xFA017u;
-  cfg.faults.link.loss_rate = options.loss_rate;
+  FaultPlan faults;
+  faults.seed = options.seed ^ 0xFA017u;
+  faults.link.loss_rate = options.loss_rate;
   if (options.flap_every > Duration::Zero() && options.flap_duration > Duration::Zero()) {
-    cfg.faults.link.flap_every = options.flap_every;
-    cfg.faults.link.flap_duration = options.flap_duration;
+    faults.link.flap_every = options.flap_every;
+    faults.link.flap_duration = options.flap_duration;
   }
-  cfg.faults.disk.stall_rate = options.disk_stall_rate;
-  cfg.faults.session.disconnect_every = options.disconnect_every;
-  ApplyObs(cfg, obs);
-  SloRuntime slo(sim, obs);
-  slo.ApplyTo(cfg);
-  // Chaos points always attribute (a local engine unless the caller supplied one): the
-  // blame block is how a loss sweep shows retransmit time moving into the network stage.
-  AttributionConfig attr_cfg;
-  attr_cfg.tracer = obs != nullptr ? obs->tracer : nullptr;
-  attr_cfg.recorder = cfg.recorder;
-  LatencyAttribution local_attribution(attr_cfg);
-  LatencyAttribution* attribution =
-      cfg.attribution != nullptr ? cfg.attribution : &local_attribution;
-  cfg.attribution = attribution;
-  if (slo.active()) {
-    slo.watchdog()->SetAttribution(attribution);
-  }
-  AttachSimHook(sim, obs);
-  Server server(sim, profile, cfg);
-  SamplerScope sampler(sim, obs);
-  server.StartDaemons();
-  server.AttachClient(ThinClientConfig::DesktopPc());
-  Session& session = server.Login();
-  server.StartSinks(options.sinks);
+  faults.disk.stall_rate = options.disk_stall_rate;
+  faults.session.disconnect_every = options.disconnect_every;
+  WanOptions run = SingleSession(options.duration, options.seed);
+  run.threshold = options.threshold;
+  InteractiveSpec spec;
+  spec.faults = &faults;
+  spec.sinks = options.sinks;
+  spec.single_session = true;
+  LatencyRecorder latency;  // for the p50 a WanPoint does not carry
+  spec.on_paint = [&latency](const KeystrokeLatency& lat) { latency.Record(lat.total()); };
+  WanPoint p = RunInteractive(profile, run, spec, obs);
 
-  LatencyRecorder latency;
-  int64_t perceptible = 0;
-  Duration threshold = options.threshold;
-  session.set_on_frame_painted([&](const KeystrokeLatency& lat) {
-    latency.Record(lat.total());
-    if (lat.total() > threshold) {
-      ++perceptible;
-    }
-  });
-  if (slo.active()) {
-    slo.watchdog()->SetWorstP99Source([&latency] { return latency.PercentileMs(0.99); });
-    slo.watchdog()->SetLinkBacklogSource([&server, &sim] {
-      return server.link().BacklogBytesAt(sim.Now()).count();
-    });
-    slo.Start();
-  }
-
-  Typist typist(sim, [&server, &session] { server.Keystroke(session); });
-  typist.Start(Duration::Seconds(2));  // past session setup and warm-up
-  sim.RunUntil(TimePoint::Zero() + Duration::Seconds(2) + options.duration);
-  typist.Stop();
-  sim.RunFor(Duration::Seconds(1));  // drain retransmissions and in-flight updates
-
-  Duration total_run = Duration::Seconds(2) + options.duration + Duration::Seconds(1);
   ChaosPoint point;
   point.os_name = profile.name;
   point.loss_rate = options.loss_rate;
   point.flap_ms = options.flap_duration.ToMillisF();
-  point.updates = latency.count();
-  if (latency.count() > 0) {
+  point.updates = p.updates;
+  if (p.updates > 0) {
     // Exact-microsecond percentiles, rendered as ms only here at serialization.
     point.p50_ms = latency.PercentileMs(0.50);
-    point.p99_ms = latency.PercentileMs(0.99);
-    point.mean_ms = static_cast<double>(latency.Mean().ToMicros()) / 1000.0;
-    point.perceptible_fraction =
-        static_cast<double>(perceptible) / static_cast<double>(latency.count());
+    point.p99_ms = p.worst_p99_ms;
+    point.mean_ms = p.mean_ms;
+    point.perceptible_fraction = p.perceptible_fraction;
   }
-  point.crosses_threshold = point.p99_ms > threshold.ToMillisF();
-  point.faults = server.CollectFaultStats(total_run);
-  point.link_frames_sent = server.link().frames_sent();
-  point.link_frames_delivered = server.link().frames_delivered();
-  point.link_frames_lost = server.link().frames_lost();
-  point.retransmissions = server.reliable() != nullptr
-                              ? static_cast<int64_t>(server.reliable()->retransmissions())
-                              : 0;
-  point.blame = attribution->Collect();
-  slo.Finish(point.slo, point.faults.availability);
-  FinishRun(point.run, sim, t0);
+  point.crosses_threshold = point.p99_ms > options.threshold.ToMillisF();
+  point.faults = p.faults;
+  point.link_frames_sent = p.link_frames_sent;
+  point.link_frames_delivered = p.link_frames_delivered;
+  point.link_frames_lost = p.link_frames_lost;
+  point.retransmissions = p.retransmissions;
+  point.blame = std::move(p.blame);
+  point.slo = std::move(p.slo);
+  point.run = p.run;
   return point;
 }
 
@@ -803,255 +1039,7 @@ std::vector<std::string> WanProfileNames() {
 
 WanPoint RunWanPoint(const OsProfile& profile, const WanOptions& options,
                      const ObsConfig* obs) {
-  WallClock::time_point t0 = WallClock::now();
-  Simulator sim;
-  ServerConfig cfg;
-  cfg.seed = options.seed;
-  cfg.faults.seed = options.seed ^ 0xFA017u;
-  // An all-empty profile injects nothing: LinkFaultPlan.Any() stays false, no injector or
-  // reliable channel is constructed, and the run is byte-identical to a LAN run.
-  cfg.faults.link.wan.extra_delay = options.profile.extra_delay;
-  cfg.faults.link.wan.jitter = options.profile.jitter;
-  cfg.faults.link.wan.down_rate = options.profile.down_rate;
-  cfg.faults.link.wan.up_rate = options.profile.up_rate;
-  cfg.faults.link.wan.queue_bytes = options.profile.queue_bytes;
-  cfg.faults.link.wan.ge_p_good_to_bad = options.profile.ge_p_good_to_bad;
-  cfg.faults.link.wan.ge_p_bad_to_good = options.profile.ge_p_bad_to_good;
-  cfg.faults.link.wan.ge_loss_good = options.profile.ge_loss_good;
-  cfg.faults.link.wan.ge_loss_bad = options.profile.ge_loss_bad;
-  cfg.degradation.enabled = options.degrade;
-  // Arm the controller only once the warm-up (login storm, first desktop paint) is over,
-  // so its ledger records WAN congestion rather than setup transients.
-  cfg.degradation.start_delay = Duration::Seconds(2);
-  if (options.profile.queue_bytes.count() > 0) {
-    // Calibrate the pressure ladder to the bottleneck queue: a backlog pinned at the
-    // drop-tail bound (bufferbloat saturation) engages the deepest level, and each
-    // quarter of the queue engages one more step.
-    cfg.degradation.level_step = Bytes::Of(
-        std::max<int64_t>(Bytes::KiB(8).count(), options.profile.queue_bytes.count() / 4));
-  }
-  // Virtual hardware for the what-if achieved arm. Gated on != 1.0 so stock cells keep
-  // their exact bytes (no float math touches the configs on the default path).
-  if (options.cpu_speed != 1.0) {
-    cfg.cpu.speed *= options.cpu_speed;
-  }
-  if (options.disk_speedup != 1.0) {
-    const double k = options.disk_speedup;
-    auto faster = [k](Duration d) {
-      return Duration::Micros(
-          std::llround(static_cast<double>(d.ToMicros()) / k));
-    };
-    cfg.disk.positioning_mean = faster(cfg.disk.positioning_mean);
-    cfg.disk.positioning_stddev = faster(cfg.disk.positioning_stddev);
-    cfg.disk.positioning_min = faster(cfg.disk.positioning_min);
-    cfg.disk.transfer_rate = BitsPerSecond::Of(
-        std::llround(static_cast<double>(cfg.disk.transfer_rate.bps()) * k));
-  }
-  ApplyObs(cfg, obs);
-  SloRuntime slo(sim, obs);
-  slo.ApplyTo(cfg);
-  // WAN points always attribute: the blame table is how degradation shows its work
-  // (coalesce holds land in sched-wait, network pathology in the net stages).
-  AttributionConfig attr_cfg;
-  attr_cfg.tracer = obs != nullptr ? obs->tracer : nullptr;
-  attr_cfg.recorder = cfg.recorder;
-  LatencyAttribution local_attribution(attr_cfg);
-  LatencyAttribution* attribution =
-      cfg.attribution != nullptr ? cfg.attribution : &local_attribution;
-  cfg.attribution = attribution;
-  if (slo.active()) {
-    slo.watchdog()->SetAttribution(attribution);
-  }
-  AttachSimHook(sim, obs);
-  Server server(sim, profile, cfg);
-  SamplerScope sampler(sim, obs);
-  server.StartDaemons();
-  server.AttachClient(ThinClientConfig::DesktopPc());
-
-  const Duration start_delay = Duration::Seconds(2);  // past session setup and warm-up
-  // A user counts as starved while some keystroke echo has been pending for longer than
-  // starve_after: per painted batch the window [keystroke + starve_after, painted],
-  // unioned via counted_through so overlapping batches are not double-billed. This
-  // catches both total paint droughts and sustained bufferbloat lag (echoes flowing, but
-  // every one of them seconds old).
-  struct WanUser {
-    Session* session = nullptr;
-    std::unique_ptr<Typist> typist;
-    LatencyRecorder latency;
-    TimePoint counted_through;       // starved time accounted up to here
-    bool pending = false;            // a keystroke awaiting its echo
-    TimePoint pending_since;
-    Duration starved = Duration::Zero();
-    int64_t perceptible = 0;
-  };
-  std::vector<WanUser> users(static_cast<size_t>(options.users));
-  for (size_t u = 0; u < users.size(); ++u) {
-    WanUser& wu = users[u];
-    wu.session = &server.Login();
-    wu.counted_through = TimePoint::Zero() + start_delay;
-    Duration starve_after = options.starve_after;
-    WanUser* wp = &wu;
-    wu.session->set_on_frame_painted(
-        [wp, starve_after, threshold = options.threshold](const KeystrokeLatency& lat) {
-          wp->latency.Record(lat.total());
-          if (lat.total() > threshold) {
-            ++wp->perceptible;
-          }
-          TimePoint painted = lat.keystroke_at + lat.total();
-          TimePoint from = std::max(lat.keystroke_at + starve_after, wp->counted_through);
-          if (painted > from) {
-            wp->starved += painted - from;
-          }
-          if (painted > wp->counted_through) {
-            wp->counted_through = painted;
-          }
-          wp->pending = false;
-        });
-    Session* s = wu.session;
-    wu.typist = std::make_unique<Typist>(sim,
-                                         [&server, &sim, s, wp] {
-                                           if (!wp->pending) {
-                                             wp->pending = true;
-                                             wp->pending_since = sim.Now();
-                                           }
-                                           server.Keystroke(*s);
-                                         },
-                                         options.think_time);
-    wu.typist->Start(start_delay + Duration::Millis(7) * static_cast<int64_t>(u));
-  }
-
-  // The background media session: a light login playing unique-frame video into the
-  // narrow downlink — the pressure source the degradation ladder sacrifices first.
-  Session* background_session = nullptr;
-  std::unique_ptr<Animation> background;
-  if (options.background_session) {
-    background_session = &server.Login(/*light_session=*/true);
-    server.SetBackground(*background_session, true);
-    AnimationConfig ac;
-    ac.id = 0x8AC6;
-    // ~4.7 Mbps of media: heavier than every profile's downlink, so without degradation
-    // the drop-tail queue sits pinned at its bound and interactive echoes tail-drop too.
-    ac.width = 512;
-    ac.height = 384;
-    ac.frame_period = Duration::Millis(100);  // 10 fps media
-    // Every frame unique over the run so the bitmap cache cannot absorb the stream.
-    ac.frame_count = static_cast<int>(options.duration / ac.frame_period) + 64;
-    ac.compression_ratio = 0.3;
-    background = std::make_unique<Animation>(sim, background_session->protocol(), ac);
-    background->set_frame_gate([&server] {
-      DegradationController* d = server.degradation();
-      if (d == nullptr) {
-        return true;
-      }
-      if (d->BackgroundPaused()) {
-        return false;
-      }
-      return !d->ShouldDropAnimationFrame();
-    });
-    background->Start(start_delay);
-  }
-
-  if (slo.active()) {
-    slo.watchdog()->SetWorstP99Source([&users] {
-      double worst = 0.0;
-      for (const WanUser& wu : users) {
-        worst = std::max(worst, wu.latency.PercentileMs(0.99));
-      }
-      return worst;
-    });
-    slo.watchdog()->SetStarvationSource([&users, &sim, starve_after =
-                                             options.starve_after] {
-      // Live view: fraction of users with an echo pending beyond the starvation
-      // threshold right now.
-      int starved = 0;
-      for (const WanUser& wu : users) {
-        if (wu.pending && sim.Now() - wu.pending_since > starve_after) {
-          ++starved;
-        }
-      }
-      return users.empty() ? 0.0
-                           : static_cast<double>(starved) /
-                                 static_cast<double>(users.size());
-    });
-    slo.watchdog()->SetLinkBacklogSource([&server, &sim] {
-      return server.link().BacklogBytesAt(sim.Now()).count();
-    });
-    slo.Start();
-  }
-
-  sim.RunUntil(TimePoint::Zero() + start_delay + options.duration);
-  for (WanUser& wu : users) {
-    wu.typist->Stop();
-  }
-  if (background != nullptr) {
-    background->Stop();
-  }
-  sim.RunFor(Duration::Seconds(1));  // drain retransmissions and in-flight updates
-
-  // Close each user's final paint gap at the post-drain horizon.
-  TimePoint horizon = sim.Now();
-  Duration active = horizon - (TimePoint::Zero() + start_delay);
-  Duration total_run = start_delay + options.duration + Duration::Seconds(1);
-
-  WanPoint point;
-  point.os_name = profile.name;
-  point.profile = options.profile.name;
-  point.degrade = options.degrade;
-  point.users = options.users;
-  double mean_us_sum = 0.0;
-  double worst_starved = 0.0;
-  double starved_sum = 0.0;
-  int64_t perceptible = 0;
-  for (WanUser& wu : users) {
-    // Close a still-pending echo at the horizon: starved from pending_since +
-    // starve_after (or wherever accounting already reached) to the end of the run.
-    if (wu.pending) {
-      TimePoint from =
-          std::max(wu.pending_since + options.starve_after, wu.counted_through);
-      if (horizon > from) {
-        wu.starved += horizon - from;
-      }
-    }
-    double starved_frac =
-        active > Duration::Zero() ? std::min(1.0, wu.starved / active) : 0.0;
-    worst_starved = std::max(worst_starved, starved_frac);
-    starved_sum += starved_frac;
-    point.worst_p99_ms = std::max(point.worst_p99_ms, wu.latency.PercentileMs(0.99));
-    point.updates += wu.latency.count();
-    perceptible += wu.perceptible;
-    // Count-weighted aggregate mean from the exact per-user microsecond accumulators.
-    mean_us_sum += static_cast<double>(wu.latency.Mean().ToMicros()) *
-                   static_cast<double>(wu.latency.count());
-  }
-  point.mean_ms =
-      point.updates > 0 ? mean_us_sum / static_cast<double>(point.updates) / 1000.0 : 0.0;
-  point.perceptible_fraction =
-      point.updates > 0
-          ? static_cast<double>(perceptible) / static_cast<double>(point.updates)
-          : 0.0;
-  point.worst_starved_fraction = worst_starved;
-  point.faults = server.CollectFaultStats(total_run);
-  double mean_starved =
-      users.empty() ? 0.0 : starved_sum / static_cast<double>(users.size());
-  // Effective availability: the link's own availability (outage-driven; 1.0 for pure WAN
-  // pathology) scaled by the fraction of user time frames actually flowed.
-  double link_avail = point.faults.active ? point.faults.availability : 1.0;
-  point.availability = link_avail * (1.0 - mean_starved);
-  if (DegradationController* d = server.degradation()) {
-    for (const DegradationTransition& tr : d->transitions()) {
-      point.degradation_peak_level = std::max(point.degradation_peak_level, tr.to);
-    }
-    point.degradation_transitions = static_cast<int64_t>(d->transitions().size());
-    point.degraded_seconds = d->DegradedTimeThrough(horizon).ToSecondsF();
-    point.animation_frames_skipped = d->animation_frames_dropped();
-  }
-  if (background != nullptr) {
-    point.background_frames_drawn = background->frames_drawn();
-  }
-  point.blame = attribution->Collect();
-  slo.Finish(point.slo, point.availability);
-  FinishRun(point.run, sim, t0);
-  return point;
+  return RunInteractive(profile, options, InteractiveSpec{}, obs);
 }
 
 // ---------------------------------------------------------------------------
@@ -1069,15 +1057,15 @@ WhatIfResult RunWhatIf(const OsProfile& profile, const WhatIfOptions& options,
   // Baseline arm: the caller's observability plus a record-retaining attribution engine —
   // the critical-path model needs every InteractionRecord, and the report's blame table
   // the display-net decomposition sub-stages.
-  ObsConfig baseline_obs = obs != nullptr ? *obs : ObsConfig{};
+  ObsConfig arm_obs = obs != nullptr ? *obs : ObsConfig{};
   AttributionConfig attr_cfg;
-  attr_cfg.tracer = baseline_obs.tracer;
-  attr_cfg.recorder = baseline_obs.recorder;
+  attr_cfg.tracer = arm_obs.tracer;
+  attr_cfg.recorder = arm_obs.recorder;
   attr_cfg.keep_records = true;
   attr_cfg.decompose_network = true;
   LatencyAttribution attribution(attr_cfg);
-  baseline_obs.attribution = &attribution;
-  result.baseline = RunWanPoint(profile, options.wan, &baseline_obs);
+  arm_obs.attribution = &attribution;
+  result.baseline = RunWanPoint(profile, options.wan, &arm_obs);
 
   // Predicted arm: replay every baseline record's critical path under the virtual
   // speedup. Building the graph re-checks the tentpole invariant (segment sum equals
@@ -1128,14 +1116,11 @@ WhatIfResult RunWhatIf(const OsProfile& profile, const WhatIfOptions& options,
       break;
     }
   }
-  ObsConfig adjusted_obs = obs != nullptr ? *obs : ObsConfig{};
-  AttributionConfig adj_attr_cfg;
-  adj_attr_cfg.tracer = adjusted_obs.tracer;
-  adj_attr_cfg.recorder = adjusted_obs.recorder;
-  adj_attr_cfg.decompose_network = true;
-  LatencyAttribution adjusted_attribution(adj_attr_cfg);
-  adjusted_obs.attribution = &adjusted_attribution;
-  result.adjusted = RunWanPoint(profile, adjusted, &adjusted_obs);
+  // The achieved arm's engine needs no records, only the same decomposition.
+  attr_cfg.keep_records = false;
+  LatencyAttribution adjusted_attribution(attr_cfg);
+  arm_obs.attribution = &adjusted_attribution;
+  result.adjusted = RunWanPoint(profile, adjusted, &arm_obs);
 
   result.achieved_p99_us = result.adjusted.blame.p99_total_us;
   result.predicted_delta_us = result.baseline_p99_us - result.predicted_p99_us;

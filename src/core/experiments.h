@@ -346,17 +346,10 @@ ChaosPoint RunChaosPoint(const OsProfile& profile, const ChaosOptions& options,
 // backpressure-driven DegradationController either off (baseline) or on, and reports
 // worst-user latency, availability, and starvation so the two arms can be compared.
 
-struct WanProfile {
+// A named WAN pathology: the link-level plan the fault layer injects, plus the name
+// reports carry.
+struct WanProfile : WanLinkPlan {
   std::string name;
-  Duration extra_delay = Duration::Zero();  // extra one-way transit (≈ RTT/2)
-  Duration jitter = Duration::Zero();       // uniform per-frame jitter on top
-  BitsPerSecond down_rate = BitsPerSecond();  // 0 = keep the LAN rate
-  BitsPerSecond up_rate = BitsPerSecond();
-  Bytes queue_bytes = Bytes::Zero();        // bufferbloat drop-tail bound (0 = unbounded)
-  double ge_p_good_to_bad = 0.0;            // Gilbert–Elliott burst loss chain
-  double ge_p_bad_to_good = 0.0;
-  double ge_loss_good = 0.0;
-  double ge_loss_bad = 0.0;
 };
 
 // Named profiles: "dsl", "lte", "satellite", "congested-office".
@@ -413,6 +406,11 @@ struct WanPoint {
   int64_t animation_frames_skipped = 0;
   int64_t background_frames_drawn = 0;
   FaultStats faults;
+  // Link ledger, as in ChaosPoint: sent = delivered + lost.
+  int64_t link_frames_sent = 0;
+  int64_t link_frames_delivered = 0;
+  int64_t link_frames_lost = 0;
+  int64_t retransmissions = 0;
   AttributionResult blame;
   SloReport slo;
   RunStats run;

@@ -3,17 +3,21 @@
 // Every runner in src/core follows the same frame: stamp a wall clock, wire the
 // optional ObsConfig (tracer, metrics sampler, attribution engine) through the stack,
 // run the simulation, then collect kernel counters and blame. These helpers are that
-// frame, factored out so experiments.cc and admission.cc share one copy. Internal to
-// src/core — not part of the library surface.
+// frame, shared by experiments.cc (whose interactive-run driver serves e2e, chaos and
+// WAN points) and checkpoint.cc (ConsolidationRun), together with the one WAN wiring
+// (ApplyWan) and the one capacity bisection (SearchCapacity) both paths use. Internal
+// to src/core — not part of the library surface.
 
 #ifndef TCS_SRC_CORE_RUN_SUPPORT_H_
 #define TCS_SRC_CORE_RUN_SUPPORT_H_
 
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
 
+#include "src/core/admission.h"
 #include "src/core/experiments.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/slo.h"
@@ -127,6 +131,22 @@ class SloRuntime {
   FlightRecorder* recorder_ = nullptr;
   std::unique_ptr<SloWatchdog> watchdog_;
 };
+
+// The WAN wiring of a run: the fault RNG seeded from `seed ^ 0xFA017`, the profile on
+// the access link, and the DegradationController (armed when `degrade`) starting after
+// the 2 s warm-up with its pressure ladder calibrated to the bottleneck queue.
+void ApplyWan(ServerConfig& cfg, const WanProfile& profile, bool degrade, uint64_t seed);
+
+// One consolidation run at `options` (users already set) under `obs`.
+using CapacityProbe =
+    std::function<ConsolidationResult(const ConsolidationOptions&, const ObsConfig*)>;
+
+// The capacity search shared by RunServerCapacity and RunServerCapacityCheckpointed:
+// validates the options, bisects the largest admitted N per policy over one memoized
+// evaluation per candidate (each with its own attribution engine and SLO bundle stem),
+// and assembles the result. `probe` is how one candidate runs.
+CapacityResult SearchCapacity(const OsProfile& profile, const CapacityOptions& options,
+                              const ObsConfig* obs, const CapacityProbe& probe);
 
 // Fills `blame` from the run's attribution engine, if one was attached.
 inline void CollectBlame(AttributionResult& blame, const ObsConfig* obs) {

@@ -1075,15 +1075,7 @@ int CmdBlame(FlagSet& flags) {
       opt.faults.link.flap_duration = Duration::Millis(flap);
     }
     if (!wan_name.empty()) {
-      opt.faults.link.wan.extra_delay = wan.extra_delay;
-      opt.faults.link.wan.jitter = wan.jitter;
-      opt.faults.link.wan.down_rate = wan.down_rate;
-      opt.faults.link.wan.up_rate = wan.up_rate;
-      opt.faults.link.wan.queue_bytes = wan.queue_bytes;
-      opt.faults.link.wan.ge_p_good_to_bad = wan.ge_p_good_to_bad;
-      opt.faults.link.wan.ge_p_bad_to_good = wan.ge_p_bad_to_good;
-      opt.faults.link.wan.ge_loss_good = wan.ge_loss_good;
-      opt.faults.link.wan.ge_loss_bad = wan.ge_loss_bad;
+      opt.faults.link.wan = wan;
       opt.faults.seed = opt.seed ^ 0xFA017u;
     }
     AttributionConfig attr_cfg;
