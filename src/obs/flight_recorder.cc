@@ -1,8 +1,9 @@
 #include "src/obs/flight_recorder.h"
 
-#include <cstdio>
 #include <sstream>
 #include <unordered_map>
+
+#include "src/util/json.h"
 
 namespace tcs {
 
@@ -59,28 +60,6 @@ void FlightRecorder::Freeze(TimePoint now) {
   }
 }
 
-namespace {
-
-// JSON string escaping matching Tracer::WriteJson's (names are literals/interned
-// strings, but stay safe on quotes, backslashes, and control characters).
-void AppendEscaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    char c = *s;
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
-}  // namespace
-
 void FlightRecorder::WriteWindowJson(std::ostream& out) const {
   std::string line;
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -93,7 +72,7 @@ void FlightRecorder::WriteWindowJson(std::ostream& out) const {
     line += ",\n{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":";
     line += std::to_string(c + 1);
     line += ",\"args\":{\"name\":\"";
-    AppendEscaped(line, FlightComponentName(static_cast<FlightComponent>(c)));
+    AppendJsonEscaped(line, FlightComponentName(static_cast<FlightComponent>(c)));
     line += "\"}}";
     out << line;
   }
@@ -122,7 +101,7 @@ void FlightRecorder::WriteWindowJson(std::ostream& out) const {
         break;
     }
     line += "\",\"name\":\"";
-    AppendEscaped(line, r.name);
+    AppendJsonEscaped(line, r.name);
     line += "\",\"cat\":\"";
     line += FlightComponentName(static_cast<FlightComponent>(r.component));
     line += "\",\"pid\":1,\"tid\":";

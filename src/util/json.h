@@ -1,9 +1,9 @@
 // Minimal JSON object builder: appends comma-separated "key": value pairs.
 //
 // Shared by the core report renderers and the obs postmortem bundles so both emit the
-// same deterministic number formats (%.9g doubles, exact integers). Keys are literals
-// and values numbers/strings without control characters, so escaping is limited to
-// quotes and backslashes.
+// same deterministic number formats (%.9g doubles, exact integers). Keys are literals;
+// string values go through AppendJsonEscaped, the one string escaper every JSON writer
+// in the tree (reports, bundles, Tracer and FlightRecorder traces) uses.
 
 #ifndef TCS_SRC_UTIL_JSON_H_
 #define TCS_SRC_UTIL_JSON_H_
@@ -12,20 +12,33 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 
 namespace tcs {
+
+// Appends `s` as the inside of a JSON string literal: quotes and backslashes are
+// backslash-escaped, control characters become \u00XX, every other byte is copied.
+inline void AppendJsonEscaped(std::string& out, std::string_view s) {
+  for (char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+}
 
 class JsonObject {
  public:
   void Str(const char* key, const std::string& value) {
     Key(key);
     out_ += '"';
-    for (char c : value) {
-      if (c == '"' || c == '\\') {
-        out_ += '\\';
-      }
-      out_ += c;
-    }
+    AppendJsonEscaped(out_, value);
     out_ += '"';
   }
 

@@ -12,6 +12,7 @@
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/sim/simulator.h"
+#include "src/util/json.h"
 
 namespace tcs {
 namespace {
@@ -217,6 +218,30 @@ TEST(SloReportTest, ToJsonRendersObjectivesAndPostmortems) {
             "[{\"objective\":\"worst_p99_ms\",\"limit\":50,\"observed\":80.5,"
             "\"passed\":false}],\"postmortems\":"
             "[{\"path\":\"postmortems/run.trace.json\"}]}");
+}
+
+// Postmortem paths are built from --postmortem-dir, so a report must stay valid JSON
+// whatever bytes that flag carried: control characters escape to \u00XX.
+TEST(SloReportTest, ToJsonEscapesControlCharactersInPaths) {
+  SloReport r;
+  r.active = true;
+  r.passed = false;
+  r.violating_objective = "worst_p99_ms";
+  r.postmortems.push_back("post\"mortems\\dir\n/run\t.trace.json");
+  std::string json = ToJson(r);
+  for (char c : json) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << "raw control byte in " << json;
+  }
+  EXPECT_EQ(json,
+            "{\"passed\":false,\"violated_at_us\":-1,"
+            "\"violating_objective\":\"worst_p99_ms\",\"objectives\":[],\"postmortems\":"
+            "[{\"path\":\"post\\\"mortems\\\\dir\\u000a/run\\u0009.trace.json\"}]}");
+}
+
+TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControlBytesOnly) {
+  std::string out;
+  AppendJsonEscaped(out, "a\"b\\c\x01\x1f\x7f\xc3\xa9 ");
+  EXPECT_EQ(out, "a\\\"b\\\\c\\u0001\\u001f\x7f\xc3\xa9 ");
 }
 
 }  // namespace
