@@ -355,7 +355,40 @@ bool ParseIntList(const std::string& value, const char* flag, std::vector<int>* 
   return true;
 }
 
+bool WriteFile(const std::string& path, const std::string& contents);
 SloSpec SloSpecFromFlags(FlagSet& flags);
+
+// One watched configuration's verdict when it failed: the first violated objective
+// and the bundle paths. Returns whether the configuration was violated.
+bool PrintSloViolation(const SloReport& slo, const std::string& where) {
+  if (!slo.active || slo.passed) {
+    return false;
+  }
+  std::printf("SLO violated %s: %s\n", where.c_str(), slo.violating_objective.c_str());
+  for (const std::string& path : slo.postmortems) {
+    std::printf("  postmortem: %s\n", path.c_str());
+  }
+  return true;
+}
+
+// Writes {"experiment":...,"points":[...]} with one ToJson object per point to `path`;
+// an empty path writes nothing. False when the file cannot be written.
+template <typename Point>
+bool WritePointsReport(const std::string& path, const char* experiment,
+                       const std::vector<Point>& points) {
+  if (path.empty()) {
+    return true;
+  }
+  std::string report = std::string("{\"experiment\":\"") + experiment + "\",\"points\":[";
+  for (size_t i = 0; i < points.size(); ++i) {
+    if (i > 0) {
+      report += ',';
+    }
+    report += ToJson(points[i]);
+  }
+  report += "]}\n";
+  return WriteFile(path, report);
+}
 
 int CmdSweep(FlagSet& flags) {
   std::string experiment = flags.GetString("experiment", "typing");
@@ -486,16 +519,7 @@ int CmdSweep(FlagSet& flags) {
   if (base_slo.Any()) {
     int violated = 0;
     for (size_t i = 0; i < slo_reports.size(); ++i) {
-      const SloReport& slo = slo_reports[i];
-      if (!slo.active || slo.passed) {
-        continue;
-      }
-      ++violated;
-      std::printf("SLO violated at config %zu: %s\n", i,
-                  slo.violating_objective.c_str());
-      for (const std::string& path : slo.postmortems) {
-        std::printf("  postmortem: %s\n", path.c_str());
-      }
+      violated += PrintSloViolation(slo_reports[i], "at config " + std::to_string(i));
     }
     std::printf("SLO: %d of %d configs violated\n", violated, configs);
   }
@@ -516,8 +540,6 @@ bool ParseDoubleList(const std::string& value, const char* flag,
   }
   return true;
 }
-
-bool WriteFile(const std::string& path, const std::string& contents);
 
 // The shared --slo-* flags as an SloSpec; a spec with no flags set checks nothing
 // (Any() is false), so commands only pay for the watchdog when asked.
@@ -658,34 +680,17 @@ int CmdChaos(FlagSet& flags) {
   }
   if (base_slo.Any()) {
     int violated = 0;
-    for (size_t i = 0; i < points.size(); ++i) {
-      const ChaosPoint& p = points[i];
-      if (!p.slo.active || p.slo.passed) {
-        continue;
-      }
-      ++violated;
-      std::printf("SLO violated at loss %.1f%% / flap %.0f ms: %s\n", p.loss_rate * 100.0,
-                  p.flap_ms, p.slo.violating_objective.c_str());
-      for (const std::string& path : p.slo.postmortems) {
-        std::printf("  postmortem: %s\n", path.c_str());
-      }
+    for (const ChaosPoint& p : points) {
+      char where[64];
+      std::snprintf(where, sizeof(where), "at loss %.1f%% / flap %.0f ms",
+                    p.loss_rate * 100.0, p.flap_ms);
+      violated += PrintSloViolation(p.slo, where);
     }
     std::printf("SLO: %d of %d cells violated\n", violated, configs);
   }
 
-  std::string report_path = flags.GetString("report-out", "");
-  if (!report_path.empty()) {
-    std::string report = "{\"experiment\":\"chaos_sweep\",\"points\":[";
-    for (size_t i = 0; i < points.size(); ++i) {
-      if (i > 0) {
-        report += ',';
-      }
-      report += ToJson(points[i]);
-    }
-    report += "]}\n";
-    if (!WriteFile(report_path, report)) {
-      return 1;
-    }
+  if (!WritePointsReport(flags.GetString("report-out", ""), "chaos_sweep", points)) {
+    return 1;
   }
   // stderr, so stdout stays byte-identical for any --jobs value.
   std::fprintf(stderr, "%d chaos points over %d workers\n", configs, sweep.workers());
@@ -801,32 +806,14 @@ int CmdWan(FlagSet& flags) {
   if (base_slo.Any()) {
     int violated = 0;
     for (const WanPoint& p : points) {
-      if (!p.slo.active || p.slo.passed) {
-        continue;
-      }
-      ++violated;
-      std::printf("SLO violated on %s (degrade %s): %s\n", p.profile.c_str(),
-                  p.degrade ? "on" : "off", p.slo.violating_objective.c_str());
-      for (const std::string& path : p.slo.postmortems) {
-        std::printf("  postmortem: %s\n", path.c_str());
-      }
+      violated += PrintSloViolation(
+          p.slo, "on " + p.profile + " (degrade " + (p.degrade ? "on" : "off") + ")");
     }
     std::printf("SLO: %d of %d cells violated\n", violated, configs);
   }
 
-  std::string report_path = flags.GetString("report-out", "");
-  if (!report_path.empty()) {
-    std::string report = "{\"experiment\":\"wan_sweep\",\"points\":[";
-    for (size_t i = 0; i < points.size(); ++i) {
-      if (i > 0) {
-        report += ',';
-      }
-      report += ToJson(points[i]);
-    }
-    report += "]}\n";
-    if (!WriteFile(report_path, report)) {
-      return 1;
-    }
+  if (!WritePointsReport(flags.GetString("report-out", ""), "wan_sweep", points)) {
+    return 1;
   }
   // stderr, so stdout stays byte-identical for any --jobs value.
   std::fprintf(stderr, "%d wan points over %d workers\n", configs, sweep.workers());
@@ -986,6 +973,36 @@ const char* ProtocolWord(ProtocolKind kind) {
   return "?";
 }
 
+// One --os entry, `name` or `name:protocol`: the suffix overrides the profile's display
+// protocol, so the same OS pipeline can be compared across encodings (linux vs
+// linux:lbx).
+struct OsConfig {
+  OsProfile profile;
+  std::string os_word;
+  std::string proto_word;
+};
+
+bool ParseOsConfigs(const std::string& list, std::vector<OsConfig>* out) {
+  for (const std::string& token : SplitList(list)) {
+    OsConfig cfg;
+    size_t colon = token.find(':');
+    cfg.os_word = token.substr(0, colon);
+    if (!ParseOs(cfg.os_word, &cfg.profile)) {
+      return false;
+    }
+    if (colon != std::string::npos) {
+      ProtocolKind kind;
+      if (!ParseProtocol(token.substr(colon + 1), &kind)) {
+        return false;
+      }
+      cfg.profile.protocol_kind = kind;
+    }
+    cfg.proto_word = ProtocolWord(cfg.profile.protocol_kind);
+    out->push_back(std::move(cfg));
+  }
+  return true;
+}
+
 // Largest total-time stage; ties go to the earlier pipeline stage.
 const StageSummary* DominantStage(const AttributionResult& blame) {
   const StageSummary* best = nullptr;
@@ -998,32 +1015,9 @@ const StageSummary* DominantStage(const AttributionResult& blame) {
 }
 
 int CmdBlame(FlagSet& flags) {
-  // An --os entry is `name` or `name:protocol`; the suffix overrides the profile's
-  // display protocol, so the same OS pipeline can be compared across encodings
-  // (e.g. linux vs linux:lbx).
-  struct BlameConfig {
-    OsProfile profile;
-    std::string os_word;
-    std::string proto_word;
-  };
-  std::vector<BlameConfig> base;
-  for (const std::string& token :
-       SplitList(flags.GetString("os", "tse,linux,linux:lbx"))) {
-    BlameConfig cfg;
-    size_t colon = token.find(':');
-    cfg.os_word = token.substr(0, colon);
-    if (!ParseOs(cfg.os_word, &cfg.profile)) {
-      return 2;
-    }
-    if (colon != std::string::npos) {
-      ProtocolKind kind;
-      if (!ParseProtocol(token.substr(colon + 1), &kind)) {
-        return 2;
-      }
-      cfg.profile.protocol_kind = kind;
-    }
-    cfg.proto_word = ProtocolWord(cfg.profile.protocol_kind);
-    base.push_back(std::move(cfg));
+  std::vector<OsConfig> base;
+  if (!ParseOsConfigs(flags.GetString("os", "tse,linux,linux:lbx"), &base)) {
+    return 2;
   }
   std::vector<int> sink_list;
   if (!ParseIntList(flags.GetString("sinks", "0,5"), "sinks", &sink_list)) {
@@ -1061,7 +1055,7 @@ int CmdBlame(FlagSet& flags) {
   // attribution engine: output is byte-identical for any --jobs value.
   ParallelSweep sweep(jobs);
   auto results = sweep.Map(configs, [&](int i) {
-    const BlameConfig& cfg = base[static_cast<size_t>(i / sink_count)];
+    const OsConfig& cfg = base[static_cast<size_t>(i / sink_count)];
     EndToEndOptions opt;
     opt.sinks = sink_list[static_cast<size_t>(i % sink_count)];
     opt.background_mbps = background_mbps;
@@ -1089,7 +1083,7 @@ int CmdBlame(FlagSet& flags) {
   TextTable table({"os", "protocol", "sinks", "stage", "share", "p50 (ms)", "p99 (ms)",
                    "max (ms)"});
   for (int i = 0; i < configs; ++i) {
-    const BlameConfig& cfg = base[static_cast<size_t>(i / sink_count)];
+    const OsConfig& cfg = base[static_cast<size_t>(i / sink_count)];
     int sinks = sink_list[static_cast<size_t>(i % sink_count)];
     for (const StageSummary& s : results[static_cast<size_t>(i)].blame.stages) {
       if (s.total_us == 0) {
@@ -1112,7 +1106,7 @@ int CmdBlame(FlagSet& flags) {
                          "p99 (ms)", "max (ms)"});
     int64_t net_mismatches = 0;
     for (int i = 0; i < configs; ++i) {
-      const BlameConfig& cfg = base[static_cast<size_t>(i / sink_count)];
+      const OsConfig& cfg = base[static_cast<size_t>(i / sink_count)];
       int sinks = sink_list[static_cast<size_t>(i % sink_count)];
       const AttributionResult& blame = results[static_cast<size_t>(i)].blame;
       net_mismatches += blame.net_mismatches;
@@ -1138,7 +1132,7 @@ int CmdBlame(FlagSet& flags) {
   int64_t threshold_us = threshold.ToMicros();
   int first = -1;
   for (int i = 0; i < configs; ++i) {
-    const BlameConfig& cfg = base[static_cast<size_t>(i / sink_count)];
+    const OsConfig& cfg = base[static_cast<size_t>(i / sink_count)];
     const AttributionResult& blame = results[static_cast<size_t>(i)].blame;
     const StageSummary* top = DominantStage(blame);
     bool over = blame.p99_total_us > threshold_us;
@@ -1154,7 +1148,7 @@ int CmdBlame(FlagSet& flags) {
     }
   }
   if (first >= 0) {
-    const BlameConfig& cfg = base[static_cast<size_t>(first / sink_count)];
+    const OsConfig& cfg = base[static_cast<size_t>(first / sink_count)];
     const AttributionResult& blame = results[static_cast<size_t>(first)].blame;
     const StageSummary* top = DominantStage(blame);
     std::printf("p99 first crosses %lld ms at %s/%s with %d sinks — blame %s\n",
@@ -1176,7 +1170,7 @@ int CmdBlame(FlagSet& flags) {
       if (i > 0) {
         report += ',';
       }
-      const BlameConfig& cfg = base[static_cast<size_t>(i / sink_count)];
+      const OsConfig& cfg = base[static_cast<size_t>(i / sink_count)];
       report += "{\"os\":\"" + cfg.os_word + "\",\"protocol\":\"" + cfg.proto_word +
                 "\",\"sinks\":" +
                 std::to_string(sink_list[static_cast<size_t>(i % sink_count)]) +
@@ -1203,29 +1197,9 @@ const ConsolidationResult* FindProbe(const CapacityResult& r, int users) {
 }
 
 int CmdCapacity(FlagSet& flags) {
-  // An --os entry is `name` or `name:protocol`, as in `blame`.
-  struct CapacityConfig {
-    OsProfile profile;
-    std::string os_word;
-    std::string proto_word;
-  };
-  std::vector<CapacityConfig> base;
-  for (const std::string& token : SplitList(flags.GetString("os", "tse,linux"))) {
-    CapacityConfig cfg;
-    size_t colon = token.find(':');
-    cfg.os_word = token.substr(0, colon);
-    if (!ParseOs(cfg.os_word, &cfg.profile)) {
-      return 2;
-    }
-    if (colon != std::string::npos) {
-      ProtocolKind kind;
-      if (!ParseProtocol(token.substr(colon + 1), &kind)) {
-        return 2;
-      }
-      cfg.profile.protocol_kind = kind;
-    }
-    cfg.proto_word = ProtocolWord(cfg.profile.protocol_kind);
-    base.push_back(std::move(cfg));
+  std::vector<OsConfig> base;
+  if (!ParseOsConfigs(flags.GetString("os", "tse,linux"), &base)) {
+    return 2;
   }
   if (base.empty()) {
     std::fprintf(stderr, "capacity needs at least one --os entry\n");
@@ -1276,7 +1250,7 @@ int CmdCapacity(FlagSet& flags) {
   TextTable table({"os", "protocol", "latency-sized", "util-sized", "over-admits",
                    "p99 @ util (ms)", "CPU @ util", "resident @ latency"});
   for (int i = 0; i < configs; ++i) {
-    const CapacityConfig& cfg = base[static_cast<size_t>(i)];
+    const OsConfig& cfg = base[static_cast<size_t>(i)];
     const CapacityResult& r = results[static_cast<size_t>(i)];
     const ConsolidationResult* at_util = FindProbe(r, r.utilization_sized_users);
     const ConsolidationResult* at_latency = FindProbe(r, r.latency_sized_users);
@@ -1293,7 +1267,7 @@ int CmdCapacity(FlagSet& flags) {
   }
   Emit(table, flags.GetBool("csv"));
   for (int i = 0; i < configs; ++i) {
-    const CapacityConfig& cfg = base[static_cast<size_t>(i)];
+    const OsConfig& cfg = base[static_cast<size_t>(i)];
     const CapacityResult& r = results[static_cast<size_t>(i)];
     if (!r.utilization_over_admits) {
       continue;
@@ -1311,36 +1285,18 @@ int CmdCapacity(FlagSet& flags) {
   if (base_slo.Any()) {
     int violated = 0;
     for (int i = 0; i < configs; ++i) {
+      const OsConfig& cfg = base[static_cast<size_t>(i)];
       for (const ConsolidationResult& probe : results[static_cast<size_t>(i)].probes) {
-        if (!probe.slo.active || probe.slo.passed) {
-          continue;
-        }
-        ++violated;
-        std::printf("SLO violated at %s/%s with %d users: %s\n",
-                    base[static_cast<size_t>(i)].os_word.c_str(),
-                    base[static_cast<size_t>(i)].proto_word.c_str(), probe.users,
-                    probe.slo.violating_objective.c_str());
-        for (const std::string& path : probe.slo.postmortems) {
-          std::printf("  postmortem: %s\n", path.c_str());
-        }
+        violated += PrintSloViolation(probe.slo, "at " + cfg.os_word + "/" +
+                                                     cfg.proto_word + " with " +
+                                                     std::to_string(probe.users) + " users");
       }
     }
     std::printf("SLO: %d probes violated\n", violated);
   }
 
-  std::string report_path = flags.GetString("report-out", "");
-  if (!report_path.empty()) {
-    std::string report = "{\"experiment\":\"capacity_sweep\",\"points\":[";
-    for (size_t i = 0; i < results.size(); ++i) {
-      if (i > 0) {
-        report += ',';
-      }
-      report += ToJson(results[i]);
-    }
-    report += "]}\n";
-    if (!WriteFile(report_path, report)) {
-      return 1;
-    }
+  if (!WritePointsReport(flags.GetString("report-out", ""), "capacity_sweep", results)) {
+    return 1;
   }
   // stderr, so stdout stays byte-identical for any --jobs value.
   std::fprintf(stderr, "%d capacity configs over %d workers\n", configs, sweep.workers());
