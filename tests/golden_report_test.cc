@@ -1,9 +1,9 @@
 // Golden-report regression corpus.
 //
-// A small OS x protocol x load matrix of consolidation runs, one capacity search, and
-// one or more cells of every interactive experiment (end-to-end, chaos, all four WAN
-// profiles with degradation off and on, what-if, consolidation over WAN) are rendered
-// to report JSON and compared field-exactly against the canonical files in
+// A small OS x protocol x load matrix of consolidation runs, one capacity search, one
+// sizing point, and cells of every interactive experiment (end-to-end, chaos, all four
+// WAN profiles with degradation off and on, what-if, consolidation over WAN) are
+// rendered to report JSON and compared field-exactly against the canonical files in
 // tests/golden/. Only run.wall_ms — the one nondeterministic field in any report — is
 // neutralized before comparison. Any change to simulation behavior, report field order,
 // or number formatting shows up as a diff here.
@@ -149,8 +149,9 @@ std::string Wan(const char* profile, bool degrade) {
   return ToJson(RunWanPoint(OsProfile::Tse(), opt));
 }
 
-// The corpus: OS x protocol x users, one full capacity search, and every interactive
-// experiment (e2e, chaos, the WAN sweep's 8 cells, what-if, consolidation over WAN).
+// The corpus: OS x protocol x users, one full capacity search, one sizing point, and
+// every interactive experiment (e2e, chaos, the WAN sweep's 8 cells, what-if,
+// consolidation over WAN).
 const GoldenCase kCases[] = {
     {"consolidation_tse_rdp_u1", [] { return Consolidation(OsProfile::Tse(), 1); }},
     {"consolidation_tse_rdp_u3", [] { return Consolidation(OsProfile::Tse(), 3); }},
@@ -219,6 +220,10 @@ const GoldenCase kCases[] = {
        opt.adjust.component = WhatIfAdjustment::Component::kLink;
        opt.adjust.speedup = 2.0;
        return ToJson(RunWhatIf(OsProfile::Tse(), opt));
+     }},
+    {"sizing_tse_u4",
+     [] {
+       return ToJson(RunServerSizing(OsProfile::Tse(), 4, {}, Duration::Seconds(10)));
      }},
     {"consolidation_tse_rdp_u3_satellite_degrade",
      [] {
