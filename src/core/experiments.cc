@@ -508,66 +508,35 @@ Bytes SessionSetupBytes(ProtocolKind kind) {
 
 SizingPoint RunServerSizing(const OsProfile& profile, int users, SizingBehavior behavior,
                             Duration duration, uint64_t seed, const ObsConfig* obs) {
-  WallClock::time_point t0 = WallClock::now();
-  Simulator sim;
-  ServerConfig cfg;
-  cfg.seed = seed;
-  ApplyObs(cfg, obs);
-  AttachSimHook(sim, obs);
-  Server server(sim, profile, cfg);
-  SamplerScope sampler(sim, obs);
-  server.StartDaemons();
-
-  struct UserRuntime {
-    Session* session;
-    std::unique_ptr<StallDetector> stalls;
-    std::unique_ptr<Typist> typist;
-    Thread* burst_thread;
-    std::unique_ptr<PeriodicTask> burst_task;
-  };
-  std::vector<UserRuntime> runtimes;
-  runtimes.reserve(static_cast<size_t>(users));
-  for (int u = 0; u < users; ++u) {
-    UserRuntime rt;
-    rt.session = &server.Login();
-    rt.stalls = std::make_unique<StallDetector>(behavior.keystroke_period);
-    StallDetector* det = rt.stalls.get();
-    rt.session->set_on_display_update([det](TimePoint t) { det->OnUpdate(t); });
-    Session* s = rt.session;
-    rt.typist = std::make_unique<Typist>(sim, [&server, s] { server.Keystroke(*s); },
-                                         behavior.keystroke_period);
-    rt.typist->Start(Duration::Millis(13 * u));  // staggered phases
-    rt.burst_thread = server.cpu().CreateThread("app-burst", ThreadClass::kBatch,
-                                                profile.sink_priority);
-    Thread* bt = rt.burst_thread;
-    Duration burst = behavior.burst_cpu;
-    rt.burst_task = std::make_unique<PeriodicTask>(
-        sim, behavior.burst_period,
-        [&server, bt, burst] { server.cpu().PostWork(*bt, burst); });
-    rt.burst_task->Start(Duration::Millis((199 * u) % 5000));
-    runtimes.push_back(std::move(rt));
-  }
-
-  sim.RunUntil(TimePoint::Zero() + duration);
+  // The consolidation engine with no warm-up delay: typists staggered 13 ms apart, each
+  // with its periodic application burst. Sizing watches no SLO.
+  ConsolidationOptions copt;
+  copt.users = users;
+  copt.duration = duration;
+  copt.seed = seed;
+  copt.keystroke_period = behavior.keystroke_period;
+  copt.start_delay = Duration::Zero();
+  copt.burst_cpu = behavior.burst_cpu;
+  copt.burst_period = behavior.burst_period;
+  ObsConfig sizing_obs = obs != nullptr ? *obs : ObsConfig{};
+  sizing_obs.slo = nullptr;
+  ConsolidationResult consolidated =
+      RunConsolidation(profile, copt, obs != nullptr ? &sizing_obs : nullptr);
 
   SizingPoint point;
-  point.os_name = profile.name;
+  point.os_name = consolidated.os_name;
   point.users = users;
-  point.cpu_utilization = server.cpu().busy_time() / duration;
+  point.cpu_utilization = consolidated.cpu_utilization;
   double total = 0.0;
-  double worst = 0.0;
-  for (UserRuntime& rt : runtimes) {
-    rt.typist->Stop();
-    rt.burst_task->Stop();
-    double stall = rt.stalls->updates() < 2 ? duration.ToMillisF()
-                                            : rt.stalls->AverageStallAllGaps().ToMillisF();
+  for (const UserStallStats& user : consolidated.per_user) {
+    // A user who never saw two updates is scored the whole run.
+    double stall = user.updates < 2 ? duration.ToMillisF() : user.avg_stall_ms;
     total += stall;
-    worst = std::max(worst, stall);
+    point.worst_stall_ms = std::max(point.worst_stall_ms, stall);
   }
-  point.avg_stall_ms = users > 0 ? total / static_cast<double>(users) : 0.0;
-  point.worst_stall_ms = worst;
-  CollectBlame(point.blame, obs);
-  FinishRun(point.run, sim, t0);
+  point.avg_stall_ms = total / static_cast<double>(users);
+  point.blame = std::move(consolidated.blame);
+  point.run = consolidated.run;
   return point;
 }
 
