@@ -1,12 +1,10 @@
 #include "src/core/experiments.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <sstream>
 
 #include "src/util/percentile_sketch.h"
 

@@ -358,6 +358,20 @@ bool ParseIntList(const std::string& value, const char* flag, std::vector<int>* 
 bool WriteFile(const std::string& path, const std::string& contents);
 SloSpec SloSpecFromFlags(FlagSet& flags);
 
+// Runs one sweep cell: `run(nullptr)` when `slo` checks nothing, else `run(&obs)` under
+// its own copy of `slo` named `name`, so each violating cell leaves its own bundle.
+template <typename Run>
+auto RunCell(const SloSpec& slo, const std::string& name, Run run) {
+  if (!slo.Any()) {
+    return run(nullptr);
+  }
+  SloSpec cell_slo = slo;
+  cell_slo.name = name;
+  ObsConfig obs;
+  obs.slo = &cell_slo;
+  return run(&obs);
+}
+
 // One watched configuration's verdict when it failed: the first violated objective
 // and the bundle paths. Returns whether the configuration was violated.
 bool PrintSloViolation(const SloReport& slo, const std::string& where) {
@@ -453,18 +467,13 @@ int CmdSweep(FlagSet& flags) {
   std::vector<SloReport> slo_reports;  // config order; empty unless --slo-* given
   if (experiment == "typing") {
     auto results = sweep.Map(configs, [&](int i) {
-      if (!base_slo.Any()) {
-        return RunTypingUnderLoad(profiles[static_cast<size_t>(i / load_count)],
-                                  loads[static_cast<size_t>(i % load_count)], seconds,
-                                  SweepSeed(base_seed, static_cast<uint64_t>(i)));
-      }
-      SloSpec cfg_slo = base_slo;
-      cfg_slo.name = "sweep_typing_cfg" + std::to_string(i);
-      ObsConfig obs;
-      obs.slo = &cfg_slo;
-      return RunTypingUnderLoad(profiles[static_cast<size_t>(i / load_count)],
-                                loads[static_cast<size_t>(i % load_count)], seconds,
-                                SweepSeed(base_seed, static_cast<uint64_t>(i)), 1, &obs);
+      return RunCell(base_slo, "sweep_typing_cfg" + std::to_string(i),
+                     [&](const ObsConfig* obs) {
+                       return RunTypingUnderLoad(
+                           profiles[static_cast<size_t>(i / load_count)],
+                           loads[static_cast<size_t>(i % load_count)], seconds,
+                           SweepSeed(base_seed, static_cast<uint64_t>(i)), 1, obs);
+                     });
     });
     for (TypingUnderLoadResult& r : results) {
       rows.push_back({r.os_name, TextTable::Num(r.sinks),
@@ -493,14 +502,9 @@ int CmdSweep(FlagSet& flags) {
       opt.background_mbps = background_mbps;
       opt.duration = seconds;
       opt.seed = SweepSeed(base_seed, static_cast<uint64_t>(i));
-      if (!base_slo.Any()) {
-        return RunEndToEndLatency(profiles[static_cast<size_t>(i / load_count)], opt);
-      }
-      SloSpec cfg_slo = base_slo;
-      cfg_slo.name = "sweep_e2e_cfg" + std::to_string(i);
-      ObsConfig obs;
-      obs.slo = &cfg_slo;
-      return RunEndToEndLatency(profiles[static_cast<size_t>(i / load_count)], opt, &obs);
+      return RunCell(base_slo, "sweep_e2e_cfg" + std::to_string(i), [&](const ObsConfig* obs) {
+        return RunEndToEndLatency(profiles[static_cast<size_t>(i / load_count)], opt, obs);
+      });
     });
     for (size_t i = 0; i < results.size(); ++i) {
       EndToEndResult& r = results[i];
@@ -627,15 +631,9 @@ int CmdChaos(FlagSet& flags) {
     opt.duration = seconds;
     opt.seed = SweepSeed(base_seed, static_cast<uint64_t>(i));
     opt.threshold = threshold;
-    if (!base_slo.Any()) {
-      return RunChaosPoint(profile, opt);
-    }
-    SloSpec cell_slo = base_slo;
-    cell_slo.name =
-        "chaos_cell" + std::to_string(i) + "_seed" + std::to_string(opt.seed);
-    ObsConfig obs;
-    obs.slo = &cell_slo;
-    return RunChaosPoint(profile, opt, &obs);
+    return RunCell(base_slo,
+                   "chaos_cell" + std::to_string(i) + "_seed" + std::to_string(opt.seed),
+                   [&](const ObsConfig* obs) { return RunChaosPoint(profile, opt, obs); });
   });
 
   TextTable table({"loss", "flap (ms)", "p50 (ms)", "p99 (ms)", "mean (ms)",
@@ -740,14 +738,8 @@ int CmdWan(FlagSet& flags) {
     opt.seed = SweepSeed(base_seed, static_cast<uint64_t>(p));
     opt.threshold = threshold;
     opt.starve_after = starve_after;
-    if (!base_slo.Any()) {
-      return RunWanPoint(profile, opt);
-    }
-    SloSpec cell_slo = base_slo;
-    cell_slo.name = "wan_" + std::to_string(i) + "_seed" + std::to_string(opt.seed);
-    ObsConfig obs;
-    obs.slo = &cell_slo;
-    return RunWanPoint(profile, opt, &obs);
+    return RunCell(base_slo, "wan_" + std::to_string(i) + "_seed" + std::to_string(opt.seed),
+                   [&](const ObsConfig* obs) { return RunWanPoint(profile, opt, obs); });
   });
 
   TextTable table({"profile", "degrade", "worst p99 (ms)", "mean (ms)", "> threshold",
@@ -1232,15 +1224,11 @@ int CmdCapacity(FlagSet& flags) {
     results = sweep.Map(configs, [&](int i) {
       CapacityOptions options = proto_options;
       options.behavior.seed = SweepSeed(base_seed, static_cast<uint64_t>(i));
-      if (!base_slo.Any()) {
-        return RunServerCapacity(base[static_cast<size_t>(i)].profile, options);
-      }
-      SloSpec cfg_slo = base_slo;
-      cfg_slo.name = "capacity_" + base[static_cast<size_t>(i)].os_word + "_" +
-                     base[static_cast<size_t>(i)].proto_word;
-      ObsConfig obs;
-      obs.slo = &cfg_slo;
-      return RunServerCapacity(base[static_cast<size_t>(i)].profile, options, &obs);
+      const OsConfig& cfg = base[static_cast<size_t>(i)];
+      return RunCell(base_slo, "capacity_" + cfg.os_word + "_" + cfg.proto_word,
+                     [&](const ObsConfig* obs) {
+                       return RunServerCapacity(cfg.profile, options, obs);
+                     });
     });
   } catch (const ConfigError& e) {
     std::fprintf(stderr, "bad capacity configuration — %s\n", e.what());
