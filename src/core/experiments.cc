@@ -518,8 +518,7 @@ SizingPoint RunServerSizing(const OsProfile& profile, int users, SizingBehavior 
   copt.burst_period = behavior.burst_period;
   ObsConfig sizing_obs = obs != nullptr ? *obs : ObsConfig{};
   sizing_obs.slo = nullptr;
-  ConsolidationResult consolidated =
-      RunConsolidation(profile, copt, obs != nullptr ? &sizing_obs : nullptr);
+  ConsolidationResult consolidated = RunConsolidation(profile, copt, &sizing_obs);
 
   SizingPoint point;
   point.os_name = consolidated.os_name;
@@ -556,7 +555,7 @@ struct InteractiveSpec {
   int sinks = 0;
   ThinClientConfig client = ThinClientConfig::DesktopPc();
   double background_mbps = 0.0;  // Poisson load sharing the session's link
-  // Attribute through a run-local engine when the ObsConfig carries none.
+  // Attribute through a run-local engine when the ObsConfig carries none (chaos, WAN).
   bool attribute = true;
   // E2E/chaos semantics: the SLO watchdog is armed before the typists start (so it runs
   // first when its tick and a keystroke coincide), scores no starvation, and settles
@@ -599,6 +598,8 @@ WanPoint RunInteractive(const OsProfile& profile, const WanOptions& options,
   slo.ApplyTo(cfg);
   // Chaos and WAN points always attribute: the blame table is how a loss sweep shows
   // retransmit time moving into the network stages, and how degradation shows its work.
+  // The local engine is built even when the caller supplied one, because it registers
+  // its blame tracks on the tracer and those traces have always carried them.
   std::optional<LatencyAttribution> local_attribution;
   if (spec.attribute) {
     AttributionConfig attr_cfg;
