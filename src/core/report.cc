@@ -293,6 +293,10 @@ std::string ToJson(const WanPoint& r) {
   o.Double("degraded_seconds", r.degraded_seconds);
   o.Int("animation_frames_skipped", r.animation_frames_skipped);
   o.Int("background_frames_drawn", r.background_frames_drawn);
+  o.Int("link_frames_sent", r.link_frames_sent);
+  o.Int("link_frames_delivered", r.link_frames_delivered);
+  o.Int("link_frames_lost", r.link_frames_lost);
+  o.Int("retransmissions", r.retransmissions);
   o.Raw("faults", FaultsJson(r.faults));
   if (r.blame.active) {
     o.Raw("blame", ToJson(r.blame));

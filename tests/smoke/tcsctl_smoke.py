@@ -9,9 +9,10 @@ Checks:
                 and updates > 0
   chaos-jobs    the same sweep's stdout is byte-identical for --jobs=1 and --jobs=4
   wan-report    a dsl,lte WAN sweep (degradation off and on): report shape, availability
-                in [0, 1], updates > 0, the degrade-on arm reaches level >= 1 and the
-                off arm makes no transitions, and per profile the on arm's worst p99
-                is no worse than the off arm's
+                in [0, 1], link ledger sent == delivered + lost, updates > 0, the
+                degrade-on arm reaches level >= 1 and the off arm makes no
+                transitions, and per profile the on arm's worst p99 is no worse than
+                the off arm's
   wan-jobs      the same sweep's stdout is byte-identical for --jobs=1 and --jobs=4
 
 ctest registers each check as a test labelled `smoke` (tests/CMakeLists.txt), so the
@@ -59,6 +60,8 @@ def check_wan_report(tcsctl):
         assert p["profile"] in ("dsl", "lte"), p
         a = p["availability"]
         assert 0.0 <= a <= 1.0, f"availability out of range: {p}"
+        assert p["link_frames_sent"] == (
+            p["link_frames_delivered"] + p["link_frames_lost"]), p
         assert p["updates"] > 0, p
         if p["degrade"]:
             assert p["degradation_peak_level"] >= 1, p
