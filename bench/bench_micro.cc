@@ -1,11 +1,13 @@
 // Micro-benchmarks of the framework's hot primitives (google-benchmark): event queue
 // throughput, scheduler decision cost, LZ codec speed, bitmap cache operations, pager
-// touch cost, and the full end-to-end cost of simulating one second of a loaded server.
+// touch cost, checkpoint save/restore cost, and the full end-to-end cost of simulating
+// one second of a loaded server.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "src/core/admission.h"
 #include "src/core/checkpoint.h"
@@ -14,6 +16,7 @@
 #include "src/mem/pager.h"
 #include "src/obs/attribution.h"
 #include "src/obs/critical_path.h"
+#include "src/obs/slo.h"
 #include "src/obs/trace.h"
 #include "src/proto/bitmap_cache.h"
 #include "src/session/server.h"
@@ -404,6 +407,71 @@ BENCHMARK(BM_CapacitySearchCheckpointed)
     ->Args({2000, 0})
     ->Args({500, 0})
     ->Args({500, 1});
+
+// Checkpoint cost at the snapshot layer, in the shape `tcsctl postmortem --rewind-ms`
+// checkpoints (perfbench's rewind-64): 64 TSE logins on a 4 GiB server with bursty
+// daemons and an SLO watchdog, captured at 5 s with every working set resident. Save is
+// ConsolidationRun::Snapshot (serialize + CRC); Restore is ConsolidationRun::Restore into
+// a freshly constructed run (CRC check + deserialize + re-arm), construction excluded.
+// `blob_kib` is the blob's size.
+ConsolidationOptions SnapshotShape() {
+  ConsolidationOptions o;
+  o.users = 64;
+  o.duration = Duration::Seconds(30);
+  o.seed = 1;
+  o.ram = Bytes::MiB(4096);
+  o.keystroke_period = Duration::Millis(200);
+  o.burst_cpu = Duration::Millis(300);
+  o.burst_period = Duration::Millis(5000);
+  return o;
+}
+
+SloSpec SnapshotShapeSlo() {
+  SloSpec spec;
+  spec.max_worst_p99_ms = 100.0;
+  spec.name = "rewind64";
+  return spec;
+}
+
+void BM_SnapshotSave(benchmark::State& state) {
+  SloSpec spec = SnapshotShapeSlo();
+  ObsConfig obs;
+  obs.slo = &spec;
+  ConsolidationRun run(OsProfile::Tse(), SnapshotShape(), &obs);
+  run.RunUntil(TimePoint::Zero() + Duration::Seconds(5));
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::vector<uint8_t> blob = run.Snapshot();
+    bytes = blob.size();
+    benchmark::DoNotOptimize(blob.data());
+  }
+  state.counters["blob_kib"] = static_cast<double>(bytes) / 1024.0;
+}
+BENCHMARK(BM_SnapshotSave)->Unit(benchmark::kMillisecond);
+
+void BM_SnapshotRestore(benchmark::State& state) {
+  SloSpec spec = SnapshotShapeSlo();
+  ObsConfig obs;
+  obs.slo = &spec;
+  std::vector<uint8_t> blob;
+  {
+    ConsolidationRun run(OsProfile::Tse(), SnapshotShape(), &obs);
+    run.RunUntil(TimePoint::Zero() + Duration::Seconds(5));
+    blob = run.Snapshot();
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto target =
+        std::make_unique<ConsolidationRun>(OsProfile::Tse(), SnapshotShape(), &obs);
+    state.ResumeTiming();
+    target->Restore(blob);
+    state.PauseTiming();
+    target.reset();
+    state.ResumeTiming();
+  }
+  state.counters["blob_kib"] = static_cast<double>(blob.size()) / 1024.0;
+}
+BENCHMARK(BM_SnapshotRestore)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace tcs

@@ -52,24 +52,39 @@ class AddressSpace {
   // access to that range will pay.
   size_t MissingIn(uint64_t first, size_t count) const;
 
-  // Checkpoint/restore: the packed page array and resident count. Identity (id, name,
+  // Checkpoint/restore: the packed page array, each entry as a zigzag delta from the
+  // one before it (a prefaulted run sits in consecutive frames, so its deltas are 2:
+  // one byte a page). The resident count is derived on load. Identity (id, name,
   // interactive) is written by SaveTo and verified by the Pager before LoadFrom, which
-  // only overwrites dynamic state.
+  // only overwrites dynamic state; the Pager also checks the entries' frame slots
+  // against its slab.
   void SaveTo(SnapshotWriter& w) const {
     w.U64(id_);
     w.Str(name_);
     w.Bool(interactive_);
-    w.U64(resident_count_);
     w.U64(pages_.size());
+    int64_t prev = 0;
     for (uint32_t e : pages_) {
-      w.U32(e);
+      w.I64(static_cast<int64_t>(e) - prev);
+      prev = e;
     }
   }
   void LoadFrom(SnapshotReader& r) {
-    resident_count_ = r.U64();
-    pages_.assign(r.U64(), kNever);
-    for (uint32_t& e : pages_) {
-      e = r.U32();
+    uint64_t n = r.U64();
+    if (n > r.Remaining()) {  // every entry takes at least one byte
+      throw SnapshotError("pager.space." + name_, "page count overruns the section");
+    }
+    pages_.resize(n);
+    resident_count_ = 0;
+    int64_t e = 0;
+    for (uint32_t& page : pages_) {
+      int64_t delta = r.I64();
+      if (delta < -e || delta > int64_t{UINT32_MAX} - e) {
+        throw SnapshotError("pager.space." + name_, "page entry out of range");
+      }
+      e += delta;
+      page = static_cast<uint32_t>(e);
+      resident_count_ += page >= kFrameBase ? 1 : 0;
     }
   }
 

@@ -571,14 +571,15 @@ void Pager::SaveTo(SnapshotWriter& w) const {
   for (const auto& sp : spaces_) {
     sp->SaveTo(w);
   }
-  // Frame slab and recency/free lists. Frame owners are recorded by address-space id
-  // (0 = free slot).
+  // Frame slab: only each slot's `next` link (recency list for held slots, free list
+  // for the rest), as a zigzag delta from the slot's own index with 0 meaning nil — a
+  // prefaulted run links to its neighbour, one byte a slot. A held slot's owner and vpn
+  // are in the page tables above and its `prev` is the recency list read backwards; a
+  // free slot's are dead state (AllocFrame and PlaceRunAtTail overwrite them).
   w.U64(frames_.size());
-  for (const Frame& f : frames_) {
-    w.U64(f.as != nullptr ? f.as->id() : 0);
-    w.U64(f.vpn);
-    w.U32(f.prev);
-    w.U32(f.next);
+  for (uint32_t f = 0; f < frames_.size(); ++f) {
+    uint32_t next = frames_[f].next;
+    w.I64(next == kNilFrame ? 0 : static_cast<int64_t>(next) - f);
   }
   w.U32(lru_head_);
   w.U32(lru_tail_);
@@ -660,6 +661,75 @@ void Pager::SaveTo(SnapshotWriter& w) const {
   w.U64(next_as_id_);
 }
 
+namespace {
+
+[[noreturn]] void CorruptSlab(const std::string& why) {
+  throw SnapshotError("pager.frames", why);
+}
+
+}  // namespace
+
+void Pager::DeriveFrames() {
+  const size_t n_frames = frames_.size();
+  // Owners: every resident page-table entry claims its slot, at most once.
+  size_t claimed = 0;
+  for (const auto& sp : spaces_) {
+    const std::vector<uint32_t>& pages = sp->pages_;
+    for (uint64_t vpn = 0; vpn < pages.size(); ++vpn) {
+      if (pages[vpn] < AddressSpace::kFrameBase) {
+        continue;
+      }
+      uint32_t f = (pages[vpn] - AddressSpace::kFrameBase) >> 1;
+      if (f >= n_frames) {
+        CorruptSlab("space \"" + sp->name() + "\" page " + std::to_string(vpn) +
+                    " names frame " + std::to_string(f) + " beyond the slab of " +
+                    std::to_string(n_frames));
+      }
+      if (frames_[f].as != nullptr) {
+        CorruptSlab("frame " + std::to_string(f) + " is claimed by two pages");
+      }
+      frames_[f].as = sp.get();
+      frames_[f].vpn = vpn;
+      ++claimed;
+    }
+  }
+  if (claimed != frames_used_) {
+    CorruptSlab("page tables hold " + std::to_string(claimed) + " frames but " +
+                std::to_string(frames_used_) + " are in use");
+  }
+  // Recency list: exactly frames_used_ held slots from lru_head_ to lru_tail_; `prev` is
+  // the walk read backwards. A walk that ends at nil within the step bound never
+  // revisited a slot (a revisit is a cycle, which never ends).
+  uint32_t prev = kNilFrame;
+  size_t steps = 0;
+  for (uint32_t f = lru_head_; f != kNilFrame; f = frames_[f].next) {
+    if (f >= n_frames || frames_[f].as == nullptr || ++steps > frames_used_) {
+      CorruptSlab("recency list leaves the " + std::to_string(frames_used_) +
+                  " frames in use (at step " + std::to_string(steps) + ")");
+    }
+    frames_[f].prev = prev;
+    prev = f;
+  }
+  if (steps != frames_used_ || prev != lru_tail_) {
+    CorruptSlab("recency list holds " + std::to_string(steps) + " of " +
+                std::to_string(frames_used_) + " frames in use or ends off its tail");
+  }
+  // Free list: every other slot, none held. With the recency list's frames_used_
+  // distinct held slots, that puts each slot on exactly one list.
+  const size_t n_free = n_frames - frames_used_;
+  steps = 0;
+  for (uint32_t f = free_head_; f != kNilFrame; f = frames_[f].next) {
+    if (f >= n_frames || frames_[f].as != nullptr || ++steps > n_free) {
+      CorruptSlab("free list leaves the " + std::to_string(n_free) +
+                  " free frames (at step " + std::to_string(steps) + ")");
+    }
+  }
+  if (steps != n_free) {
+    CorruptSlab("free list holds " + std::to_string(steps) + " of " +
+                std::to_string(n_free) + " free frames");
+  }
+}
+
 void Pager::LoadFrom(SnapshotReader& r, EventRearm& plan) {
   uint64_t n_spaces = r.U64();
   if (n_spaces != spaces_.size()) {
@@ -670,7 +740,6 @@ void Pager::LoadFrom(SnapshotReader& r, EventRearm& plan) {
                             " (checkpointing across address-space creation/teardown "
                             "requires matching reconstruction)");
   }
-  std::map<uint64_t, AddressSpace*> by_id;
   for (auto& sp : spaces_) {
     uint64_t id = r.U64();
     std::string name = r.Str();
@@ -683,27 +752,27 @@ void Pager::LoadFrom(SnapshotReader& r, EventRearm& plan) {
                               std::to_string(sp->id()) + ", \"" + sp->name() + "\")");
     }
     sp->LoadFrom(r);
-    by_id[sp->id()] = sp.get();
   }
-  frames_.assign(r.U64(), Frame{});
-  for (Frame& f : frames_) {
-    uint64_t as_id = r.U64();
-    if (as_id != 0) {
-      auto it = by_id.find(as_id);
-      if (it == by_id.end()) {
-        throw SnapshotError("pager.frames", "frame references unknown address space id " +
-                                                std::to_string(as_id));
-      }
-      f.as = it->second;
+  uint64_t n_frames = r.U64();
+  // The slab only grows when every slot is held, so it never exceeds the pool.
+  if (n_frames > config_.total_frames || n_frames >= kNilFrame) {
+    CorruptSlab("slab of " + std::to_string(n_frames) + " frames exceeds the pool of " +
+                std::to_string(config_.total_frames));
+  }
+  frames_.assign(n_frames, Frame{});
+  for (uint32_t f = 0; f < n_frames; ++f) {
+    int64_t delta = r.I64();
+    if (delta < -static_cast<int64_t>(f) ||
+        delta >= static_cast<int64_t>(n_frames) - static_cast<int64_t>(f)) {
+      CorruptSlab("frame " + std::to_string(f) + " links past the slab");
     }
-    f.vpn = r.U64();
-    f.prev = r.U32();
-    f.next = r.U32();
+    frames_[f].next = delta == 0 ? kNilFrame : static_cast<uint32_t>(f + delta);
   }
   lru_head_ = r.U32();
   lru_tail_ = r.U32();
   free_head_ = r.U32();
   frames_used_ = r.U64();
+  DeriveFrames();
   uint64_t n_shared = r.U64();
   if (n_shared != shared_.size()) {
     throw SnapshotError("pager.shared",

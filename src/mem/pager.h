@@ -149,9 +149,12 @@ class Pager {
 
   // Checkpoint/restore. The pager's asynchronous machinery is reified as data — every
   // incomplete Access/AccessRange is a PagerOp record (fan-in count, remaining run
-  // chain, covered in-flight keys, completion ResumeKey), so SaveTo serializes the frame
-  // slab, recency list, address spaces, shared-segment refcounts, and the full op table,
-  // and LoadFrom re-arms the pending issue/fire events. Chain-step disk completions
+  // chain, covered in-flight keys, completion ResumeKey), so SaveTo serializes the
+  // address spaces, the frame slab's links, shared-segment refcounts, and the full op
+  // table, and LoadFrom re-arms the pending issue/fire events. The slab stores only
+  // what cannot be derived: each frame's owner and vpn come back from the page tables
+  // and its `prev` from the recency list, and LoadFrom throws SnapshotError
+  // ("pager.frames") unless the derived slab is consistent. Chain-step disk completions
   // restore through the registered-restorer table: call RegisterRestorers before any
   // LoadFrom.
   void RegisterRestorers(EventRearm& plan);
@@ -220,6 +223,10 @@ class Pager {
   // `n` free frames (caller guarantees n <= frames_free()), as n AllocFrame calls would.
   void PlaceRunAtTail(AddressSpace& as, uint64_t first, size_t n);
   Duration ThrottleFor(const AddressSpace& as) const;
+  // Restore step: rebuilds each frame's owner, vpn and `prev` from the page tables and
+  // the loaded `next` links, checking that every held frame is named by one page and
+  // that the recency and free lists partition the slab.
+  void DeriveFrames();
   // Drops every frame and in-flight entry belonging to `as` (teardown path).
   void DropFramesOf(AddressSpace& as);
 

@@ -45,9 +45,13 @@ class SnapshotError : public ConfigError {
       : ConfigError(std::move(field), std::move(reason)) {}
 };
 
+// CRC-32 (IEEE 802.3, reflected; the zlib/PNG checksum) of `len` bytes: the trailer
+// SnapshotWriter::Finish appends over everything before it.
+uint32_t SnapshotCrc32(const uint8_t* data, size_t len);
+
 // Blob layout: magic, format version, body (tagged sections), trailing CRC32.
 inline constexpr uint32_t kSnapshotMagic = 0x54435353;  // "TCSS"
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 2;
 
 class SnapshotWriter {
  public:
@@ -108,6 +112,9 @@ class SnapshotReader {
   void SkipSection();
 
   bool AtEnd() const { return pos_ == end_; }
+  // Bytes left in the enclosing frame: an upper bound on how many more fields it can
+  // hold, so a corrupt element count is rejected before anything is sized by it.
+  size_t Remaining() const { return (limits_.empty() ? end_ : limits_.back()) - pos_; }
 
  private:
   void Need(size_t n) const;

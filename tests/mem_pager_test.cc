@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "src/sim/snapshot.h"
+
 namespace tcs {
 namespace {
 
@@ -266,6 +271,172 @@ TEST(PagerTest, FramesAccounting) {
   EXPECT_FALSE(f.pager.IsSaturated());
   f.pager.Prefault(*as, 3, 5);
   EXPECT_TRUE(f.pager.IsSaturated());
+}
+
+
+// ---------------------------------------------------------------------------
+// Frame-slab restore validation. The pager section stores each space's page table and
+// each frame's `next` link; owners, vpns and `prev` links are derived on load, so a
+// corrupt table or link must be rejected there instead of being trusted.
+
+constexpr uint32_t kNil = 0xFFFFFFFFu;
+
+// Packed page entry of a clean resident page (kFrameBase + 2 * frame).
+uint32_t InFrame(uint32_t frame) { return 2 + 2 * frame; }
+
+// Everything a pager section holds for two idle, non-interactive spaces "a" and "b".
+struct SlabImage {
+  std::vector<uint32_t> pages_a;
+  std::vector<uint32_t> pages_b;
+  std::vector<uint32_t> next;  // per frame; kNil ends a list
+  uint32_t lru_head = kNil;
+  uint32_t lru_tail = kNil;
+  uint32_t free_head = kNil;
+  uint64_t frames_used = 0;
+};
+
+// Writes `img` field by field in the pager section's format, with empty shared-segment,
+// in-flight, op and pending-event tables and zero counters.
+std::vector<uint8_t> Encode(const SlabImage& img) {
+  SnapshotWriter w;
+  w.U64(2);
+  uint64_t id = 1;
+  for (const auto* pages : {&img.pages_a, &img.pages_b}) {
+    w.U64(id);
+    w.Str(id == 1 ? "a" : "b");
+    w.Bool(false);
+    w.U64(pages->size());
+    int64_t prev = 0;
+    for (uint32_t e : *pages) {
+      w.I64(static_cast<int64_t>(e) - prev);
+      prev = e;
+    }
+    ++id;
+  }
+  w.U64(img.next.size());
+  for (uint32_t f = 0; f < img.next.size(); ++f) {
+    w.I64(img.next[f] == kNil ? 0 : static_cast<int64_t>(img.next[f]) - f);
+  }
+  w.U32(img.lru_head);
+  w.U32(img.lru_tail);
+  w.U32(img.free_head);
+  w.U64(img.frames_used);
+  w.U64(0);  // shared segments
+  w.U64(0);  // in-flight page-ins
+  w.U64(0);  // ops
+  w.U64(1);  // next op id
+  w.U64(0);  // pending op fires
+  w.U64(0);  // pending chain issues
+  for (int counter = 0; counter < 7; ++counter) {
+    w.I64(0);
+  }
+  w.U64(3);  // next address-space id
+  return w.Finish();
+}
+
+// The state SlabPager() builds: a = {frame 0, evicted, frame 2}, b = {frame 3, frame 4},
+// recency 0 -> 2 -> 3 -> 4, frame 1 free.
+SlabImage ValidImage() {
+  SlabImage img;
+  img.pages_a = {InFrame(0), 1, InFrame(2)};
+  img.pages_b = {InFrame(3), InFrame(4)};
+  img.next = {2, kNil, 3, 4, kNil};
+  img.lru_head = 0;
+  img.lru_tail = 4;
+  img.free_head = 1;
+  img.frames_used = 4;
+  return img;
+}
+
+struct SlabPager : PagerFixture {
+  SlabPager() : PagerFixture(SmallMemory(8)) {
+    a = pager.CreateAddressSpace("a", false);
+    b = pager.CreateAddressSpace("b", false);
+  }
+  void Load(const std::vector<uint8_t>& blob) {
+    SnapshotReader r(blob);
+    EventRearm plan;
+    pager.LoadFrom(r, plan);
+  }
+  std::vector<uint8_t> Save() const {
+    SnapshotWriter w;
+    pager.SaveTo(w);
+    return w.Finish();
+  }
+  AddressSpace* a;
+  AddressSpace* b;
+};
+
+// Restoring `img` must throw SnapshotError on the frame slab, for the reason named.
+void ExpectSlabRejected(const SlabImage& img, const std::string& reason) {
+  SlabPager target;
+  try {
+    target.Load(Encode(img));
+    ADD_FAILURE() << "restore accepted a corrupt slab (" << reason << ")";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.field(), "pager.frames");
+    EXPECT_NE(e.reason().find(reason), std::string::npos) << e.what();
+  }
+}
+
+TEST(PagerSnapshotTest, SectionStoresPageTablesAndNextLinksOnly) {
+  SlabPager live;
+  live.pager.Prefault(*live.a, 0, 3);
+  live.pager.Prefault(*live.b, 0, 2);
+  live.pager.MarkSwappedOut(*live.a, 1, 1);
+  EXPECT_EQ(live.Save(), Encode(ValidImage()));
+}
+
+TEST(PagerSnapshotTest, DerivedSlabRestoresTheLiveState) {
+  SlabPager restored;
+  restored.Load(Encode(ValidImage()));
+  EXPECT_EQ(restored.Save(), Encode(ValidImage()));
+  EXPECT_EQ(restored.pager.frames_used(), 4u);
+  EXPECT_EQ(restored.a->resident_pages(), 2u);
+  EXPECT_TRUE(restored.a->WasEvicted(1));
+  // Derived owners and prev links drive eviction: LRU order is a0, a2, b0, b1.
+  AddressSpace* c = restored.pager.CreateAddressSpace("c", false);
+  restored.pager.Prefault(*c, 0, 5);  // 4 free frames, then one eviction
+  EXPECT_EQ(restored.pager.evictions(), 1);
+  EXPECT_FALSE(restored.a->IsResident(0));
+  EXPECT_TRUE(restored.a->IsResident(2));
+}
+
+TEST(PagerSnapshotTest, TwoPagesNamingOneFrameAreRejected) {
+  SlabImage img = ValidImage();
+  img.pages_b[0] = InFrame(0);  // a's page 0 holds frame 0 too
+  ExpectSlabRejected(img, "claimed by two pages");
+}
+
+TEST(PagerSnapshotTest, PageNamingAFrameBeyondTheSlabIsRejected) {
+  SlabImage img = ValidImage();
+  img.pages_a[2] = InFrame(5);  // the slab has frames 0..4
+  ExpectSlabRejected(img, "beyond the slab");
+}
+
+TEST(PagerSnapshotTest, RecencyListCycleIsRejected) {
+  SlabImage img = ValidImage();
+  img.next[3] = 0;  // 0 -> 2 -> 3 -> 0 -> ...
+  ExpectSlabRejected(img, "recency list leaves");
+}
+
+TEST(PagerSnapshotTest, RecencyListShorterThanFramesInUseIsRejected) {
+  SlabImage img = ValidImage();
+  img.next[3] = kNil;  // 0 -> 2 -> 3, and frame 4 (held by b) is dropped
+  img.lru_tail = 3;
+  ExpectSlabRejected(img, "recency list holds 3 of 4");
+}
+
+TEST(PagerSnapshotTest, FrameOnNeitherListIsRejected) {
+  SlabImage img = ValidImage();
+  img.next.push_back(kNil);  // free frame 5, never chained onto the free list
+  ExpectSlabRejected(img, "free list holds 1 of 2");
+}
+
+TEST(PagerSnapshotTest, LinkPastTheSlabIsRejected) {
+  SlabImage img = ValidImage();
+  img.next[1] = 7;
+  ExpectSlabRejected(img, "links past the slab");
 }
 
 }  // namespace

@@ -142,6 +142,46 @@ TEST(SnapshotPrimitives, CorruptionIsRejectedUpFront) {
   EXPECT_THROW(SnapshotReader r(truncated), SnapshotError);
 }
 
+// Reference CRC-32 (IEEE 802.3, reflected), one bit at a time: what the trailer's
+// word-at-a-time implementation must agree with.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t len) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(SnapshotPrimitives, Crc32MatchesTheStandardCheckValue) {
+  const char* check = "123456789";
+  EXPECT_EQ(SnapshotCrc32(reinterpret_cast<const uint8_t*>(check), 9), 0xCBF43926u);
+  EXPECT_EQ(SnapshotCrc32(nullptr, 0), 0u);
+}
+
+TEST(SnapshotPrimitives, TrailerIsTheBytewiseCrcForEveryTailLength) {
+  // Payloads of 0..64 bytes after the header cover every tail length of the 8-byte
+  // loop, with and without whole 8-byte steps before it.
+  for (uint32_t n = 0; n <= 64; ++n) {
+    SCOPED_TRACE("payload of " + std::to_string(n) + " bytes");
+    SnapshotWriter w;
+    for (uint32_t i = 0; i < n; ++i) {
+      w.U8(static_cast<uint8_t>(i * 151u + n * 7u + 13u));
+    }
+    std::vector<uint8_t> blob = w.Finish();
+    size_t body = blob.size() - 4;
+    uint32_t trailer = static_cast<uint32_t>(blob[body]) |
+                       static_cast<uint32_t>(blob[body + 1]) << 8 |
+                       static_cast<uint32_t>(blob[body + 2]) << 16 |
+                       static_cast<uint32_t>(blob[body + 3]) << 24;
+    EXPECT_EQ(trailer, BitwiseCrc32(blob.data(), body));
+    EXPECT_EQ(SnapshotCrc32(blob.data() + 5, n), BitwiseCrc32(blob.data() + 5, n));
+    SnapshotReader r(blob);  // the reader's up-front check agrees
+  }
+}
+
 TEST(SnapshotPrimitives, ResumeKeyRoundTrip) {
   SnapshotWriter w;
   ResumeKey::Make(7, 1, 2, 3, 4).SaveTo(w);

@@ -14,6 +14,10 @@ Checks:
                 transitions, and per profile the on arm's worst p99 is no worse than
                 the off arm's
   wan-jobs      the same sweep's stdout is byte-identical for --jobs=1 and --jobs=4
+  rewind        postmortem --rewind-ms on a 3-user consolidation that violates its SLO:
+                the replay reproduces the violation, its frozen-window trace is
+                byte-identical to the monitored run's, and the traced lead-up it writes
+                is over 100000 bytes
 
 ctest registers each check as a test labelled `smoke` (tests/CMakeLists.txt), so the
 sanitizer build runs them under ASan+UBSan too. Exits non-zero on the first failure.
@@ -27,6 +31,8 @@ import sys
 CHAOS = ["chaos", "--os=tse", "--loss=0,0.01", "--flap-ms=0,50", "--seconds=10",
          "--disk-stall=0.05"]
 WAN = ["wan", "--os=tse", "--profile=dsl,lte", "--seconds=10"]
+REWIND = ["postmortem", "consolidation", "--users=3", "--ram-mib=48", "--seconds=4",
+          "--slo-p99-ms=1", "--rewind-ms=500", "--postmortem-dir=pm"]
 
 
 def run(tcsctl, args):
@@ -77,6 +83,19 @@ def check_wan_report(tcsctl):
           f"{by[('dsl', True)]['worst_p99_ms']:.1f} ms with degradation")
 
 
+def check_rewind(tcsctl):
+    out = run(tcsctl, REWIND).decode()
+    assert "replay reproduced the violation" in out, out
+    # The replay forked from a checkpoint 500+ ms before the violation sees the exact
+    # same virtual history: its frozen-window trace is the monitored run's, byte for byte.
+    monitored = open("pm/consolidation.trace.json", "rb").read()
+    replay = open("pm/consolidation_replay.trace.json", "rb").read()
+    assert monitored == replay, "replay's frozen-window trace differs from the original"
+    size = os.path.getsize("pm/consolidation.rewind.trace.json")
+    assert size > 100000, f"rewind trace is only {size} bytes"
+    print(f"rewind replay reproduced the violation; lead-up trace {size} bytes")
+
+
 def check_jobs(tcsctl, args):
     one = run(tcsctl, args + ["--jobs=1"])
     four = run(tcsctl, args + ["--jobs=4"])
@@ -95,6 +114,7 @@ def main():
         "chaos-jobs": lambda: check_jobs(tcsctl, CHAOS),
         "wan-report": lambda: check_wan_report(tcsctl),
         "wan-jobs": lambda: check_jobs(tcsctl, WAN),
+        "rewind": lambda: check_rewind(tcsctl),
     }
     if check not in checks:
         sys.exit(f"unknown check '{check}' (one of {', '.join(checks)})")

@@ -119,13 +119,27 @@ TEST(SnapshotFuzz, EveryBitFlipIsRejected) {
 }
 
 TEST(SnapshotFuzz, VersionSkewIsRejectedEvenWithValidCrc) {
+  static_assert(kSnapshotVersion > 1 && kSnapshotVersion < 0x7f,
+                "the version is a single-byte varint with an older format below it");
   std::vector<uint8_t> mut = Blob();
   // Header layout: fixed32 magic, then the format version as a LEB128 varint at
-  // offset 4 (version 1 is the single byte 0x01).
-  ASSERT_EQ(mut[4], 0x01);
-  mut[4] = 0x02;
+  // offset 4 (a single byte while the version is below 128).
+  ASSERT_EQ(mut[4], kSnapshotVersion);
+  mut[4] = static_cast<uint8_t>(kSnapshotVersion + 1);
   Reseal(mut);
-  ExpectRejected(mut, "version 2 blob");
+  ExpectRejected(mut, "newer-version blob");
+
+  // A blob of the previous format version: no compatibility shims, even with a valid
+  // CRC.
+  mut[4] = 1;
+  Reseal(mut);
+  ExpectRejected(mut, "version 1 blob");
+  try {
+    SnapshotReader reader(mut);
+    ADD_FAILURE() << "reader accepted a version 1 blob";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.field(), "Snapshot.version");
+  }
 
   mut[4] = 0x81;  // multi-byte varint: version 128+
   Reseal(mut);

@@ -106,6 +106,7 @@
 // bundles under --postmortem-dir, even though the sweep itself runs trace-off.
 
 #include <cstdio>
+#include <deque>
 #include <memory>
 #include <fstream>
 #include <sstream>
@@ -1310,13 +1311,22 @@ int RunConsolidationRewind(const OsProfile& profile, const ConsolidationOptions&
   obs.slo = &spec;
   ConsolidationRun monitored(profile, opt, &obs);
 
-  std::vector<std::pair<TimePoint, std::vector<uint8_t>>> ring;
+  // The violation comes after every checkpoint, so once one at t <= now - rewind exists
+  // no older one can be chosen: the ring drops those as it goes and holds
+  // O(rewind / interval) blobs however long the run. `taken` counts every checkpoint.
+  std::deque<std::pair<TimePoint, std::vector<uint8_t>>> ring;
+  size_t taken = 0;
   TimePoint end = monitored.end_time();
   for (TimePoint t = TimePoint::Zero() + Duration::Millis(every_ms);
        t < end && !monitored.SloViolated(); t = t + Duration::Millis(every_ms)) {
     monitored.RunUntil(t);
     if (!monitored.SloViolated()) {
       ring.emplace_back(t, monitored.Snapshot());
+      ++taken;
+      while (ring.size() >= 2 &&
+             ring[1].first.ToMicros() <= t.ToMicros() - rewind_ms * 1000) {
+        ring.pop_front();
+      }
     }
   }
   monitored.RunToEnd();
@@ -1379,7 +1389,7 @@ int RunConsolidationRewind(const OsProfile& profile, const ConsolidationOptions&
   std::printf(
       "rewind: forked from the %.0f ms checkpoint (%zu in ring), replay reproduced "
       "the violation at %.3f ms (virtual); traced lead-up: %s\n",
-      chosen_at.ToMicros() / 1000.0, ring.size(),
+      chosen_at.ToMicros() / 1000.0, taken,
       static_cast<double>(violated_at_us) / 1000.0, trace_path.c_str());
   return 0;
 }
