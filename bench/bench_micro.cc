@@ -215,48 +215,103 @@ void BM_AttributionOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_AttributionOverhead)->Arg(0)->Arg(1);
 
-// Login prefault at the mem layer: N TSE logins' page tables paged in, the way
-// Server::Login pages them (each process's private pages into its own space, each shared
-// text segment once, then the editor working set), into a pager sized like a 4 GiB
-// server. Pager construction is inside the loop — it is part of every server's setup.
-// Items are prefaulted pages, so items_per_second is the per-page cost's inverse.
+size_t PagesFor(Bytes b) {
+  return std::max<size_t>(1, static_cast<size_t>((b.count() + 4095) / 4096));
+}
+
+// A pager sized like a 4 GiB TSE server.
+PagerConfig TseServerPager(const OsProfile& profile) {
+  PagerConfig pc;
+  pc.total_frames = PagesFor(Bytes::MiB(4096) - profile.idle_system_memory);
+  return pc;
+}
+
+// The address spaces LoginPrefault leaves: each user's editor working set, and each
+// user's first private process space.
+struct LoggedIn {
+  std::vector<AddressSpace*> editors;
+  std::vector<AddressSpace*> processes;
+  int64_t pages = 0;
+};
+
+// Pages `users` TSE logins in the way Server::Login does: each process's private pages
+// into its own space, each shared text segment once, then the editor working set.
+LoggedIn LoginPrefault(Pager& pager, const OsProfile& profile, int users) {
+  LoggedIn out;
+  for (int u = 0; u < users; ++u) {
+    for (size_t i = 0; i < profile.login_processes.size(); ++i) {
+      const ProcessSpec& proc = profile.login_processes[i];
+      AddressSpace* space = pager.CreateAddressSpace(proc.name, true);
+      size_t n = PagesFor(proc.private_memory);
+      pager.Prefault(*space, 0, n);
+      out.pages += static_cast<int64_t>(n);
+      if (i == 0) {
+        out.processes.push_back(space);
+      }
+      if (proc.shared_text.count() > 0) {
+        SharedSegment seg = pager.AcquireShared("text:" + proc.name, true);
+        if (seg.created) {
+          n = PagesFor(proc.shared_text);
+          pager.Prefault(*seg.space, 0, n);
+          out.pages += static_cast<int64_t>(n);
+        }
+      }
+    }
+    out.editors.push_back(pager.CreateAddressSpace("editor-ws", true));
+    pager.Prefault(*out.editors.back(), 0, profile.editor_working_set_pages);
+    out.pages += static_cast<int64_t>(profile.editor_working_set_pages);
+  }
+  return out;
+}
+
+// Login prefault at the mem layer: N TSE logins' page tables paged in into a pager sized
+// like a 4 GiB server. Pager construction is inside the loop — it is part of every
+// server's setup. Items are prefaulted pages, so items_per_second is the per-page cost's
+// inverse.
 void BM_PagerPrefault(benchmark::State& state) {
   const int users = static_cast<int>(state.range(0));
   const OsProfile profile = OsProfile::Tse();
-  auto pages_for = [](Bytes b) {
-    return std::max<size_t>(1, static_cast<size_t>((b.count() + 4095) / 4096));
-  };
-  PagerConfig pc;
-  pc.total_frames = pages_for(Bytes::MiB(4096) - profile.idle_system_memory);
   int64_t pages = 0;
   for (auto _ : state) {
     Simulator sim;
     Disk disk(sim, Rng(1));
-    Pager pager(sim, disk, pc);
-    pages = 0;
-    for (int u = 0; u < users; ++u) {
-      for (const ProcessSpec& proc : profile.login_processes) {
-        size_t n = pages_for(proc.private_memory);
-        pager.Prefault(*pager.CreateAddressSpace(proc.name, true), 0, n);
-        pages += static_cast<int64_t>(n);
-        if (proc.shared_text.count() > 0) {
-          SharedSegment seg = pager.AcquireShared("text:" + proc.name, true);
-          if (seg.created) {
-            n = pages_for(proc.shared_text);
-            pager.Prefault(*seg.space, 0, n);
-            pages += static_cast<int64_t>(n);
-          }
-        }
-      }
-      pager.Prefault(*pager.CreateAddressSpace("editor-ws", true), 0,
-                     profile.editor_working_set_pages);
-      pages += static_cast<int64_t>(profile.editor_working_set_pages);
-    }
+    Pager pager(sim, disk, TseServerPager(profile));
+    pages = LoginPrefault(pager, profile, users).pages;
     benchmark::DoNotOptimize(pager.frames_used());
   }
   state.SetItemsProcessed(state.iterations() * pages);
 }
 BENCHMARK(BM_PagerPrefault)->Arg(8)->Arg(64)->Arg(512)->Unit(benchmark::kMillisecond);
+
+// The keystroke page-in at the mem layer: one pipeline pass's AccessRange over a user's
+// resident editor working set (the mean touch, 775 of 1000 pages) on a pager holding 512
+// TSE logins, users taken in turn the way their keystrokes interleave. Arg 1 first puts
+// 64 other users' page-ins on the disk (never drained), as a paging server almost always
+// has one; Arg 0 has none. Items are touched pages.
+void BM_PagerAccessRange(benchmark::State& state) {
+  const OsProfile profile = OsProfile::Tse();
+  Simulator sim;
+  Disk disk(sim, Rng(1));
+  Pager pager(sim, disk, TseServerPager(profile));
+  LoggedIn users = LoginPrefault(pager, profile, 512);
+  if (state.range(0) != 0) {
+    for (size_t u = 0; u < 512; u += 8) {
+      pager.MarkSwappedOut(*users.processes[u], 0, 1);
+      pager.AccessRange(*users.processes[u], 0, 1, /*write=*/false, nullptr);
+    }
+  }
+  const auto pages = static_cast<size_t>(
+      0.5 * (profile.ws_touch_min + profile.ws_touch_max) *
+      static_cast<double>(profile.editor_working_set_pages));
+  size_t u = 0;
+  for (auto _ : state) {
+    pager.AccessRange(*users.editors[u], 0, pages, /*write=*/false, nullptr);
+    u = u + 1 == users.editors.size() ? 0 : u + 1;
+  }
+  benchmark::DoNotOptimize(pager.hits());
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(pages));
+}
+BENCHMARK(BM_PagerAccessRange)->Arg(0)->Arg(1);
 
 // End-to-end cost of simulating a consolidated server: N concurrent typists, each with
 // its own protocol pipeline multiplexed over the shared link, with the latency-attribution

@@ -400,7 +400,7 @@ void Cpu::LoadFrom(SnapshotReader& r, EventRearm& plan) {
   next_thread_id_ = r.U64();
   scheduler_->LoadQueues(r, [this](uint64_t id) { return ThreadById(id); });
   deferred_.clear();
-  uint64_t n_deferred = r.U64();
+  size_t n_deferred = r.Count("cpu.deferred");
   deferred_.reserve(n_deferred);  // EventId out-pointers below must stay stable
   for (uint64_t i = 0; i < n_deferred; ++i) {
     uint64_t seq = r.U64();

@@ -70,11 +70,7 @@ class AddressSpace {
     }
   }
   void LoadFrom(SnapshotReader& r) {
-    uint64_t n = r.U64();
-    if (n > r.Remaining()) {  // every entry takes at least one byte
-      throw SnapshotError("pager.space." + name_, "page count overruns the section");
-    }
-    pages_.resize(n);
+    pages_.resize(r.Count("pager.space." + name_));
     resident_count_ = 0;
     int64_t e = 0;
     for (uint32_t& page : pages_) {

@@ -131,7 +131,7 @@ void Disk::LoadFrom(SnapshotReader& r, EventRearm& plan) {
   pages_written_ = r.I64();
   total_busy_ = r.Dur();
   pending_.clear();
-  uint64_t n = r.U64();
+  size_t n = r.Count("disk.pending");
   pending_.reserve(n);  // EventId out-pointers below must stay stable
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t seq = r.U64();

@@ -254,13 +254,41 @@ void Pager::OnIssueFire(uint64_t id) {
   IssueRead(id);
 }
 
-void Pager::TouchLru(AddressSpace& as, uint64_t vpn) {
-  uint32_t f = as.FrameOf(vpn);
-  if (f == lru_tail_) {
+void Pager::MoveRunToTail(uint32_t a, uint32_t b) {
+  if (b == lru_tail_) {
     return;  // already most recently used
   }
-  UnlinkFrame(f);
-  LinkFrameAtTail(f);
+  // Unthread [a..b] (b is not the tail, so something follows it) ...
+  uint32_t before = frames_[a].prev;
+  uint32_t after = frames_[b].next;
+  if (before != kNilFrame) {
+    frames_[before].next = after;
+  } else {
+    lru_head_ = after;
+  }
+  frames_[after].prev = before;
+  // ... and append it after the tail, which lies outside the run.
+  frames_[a].prev = lru_tail_;
+  frames_[lru_tail_].next = a;
+  frames_[b].next = kNilFrame;
+  lru_tail_ = b;
+}
+
+void Pager::TouchInRun(uint32_t f, RecencyRun& run) {
+  if (run.first != kNilFrame && frames_[run.last].next == f) {
+    run.last = f;
+    return;
+  }
+  FlushRun(run);
+  run.first = f;
+  run.last = f;
+}
+
+void Pager::FlushRun(RecencyRun& run) {
+  if (run.first != kNilFrame) {
+    MoveRunToTail(run.first, run.last);
+    run.first = kNilFrame;
+  }
 }
 
 void Pager::EvictOneFrame(const AddressSpace& for_whom) {
@@ -300,7 +328,8 @@ void Pager::EvictOneFrame(const AddressSpace& for_whom) {
 bool Pager::MakeResident(AddressSpace& as, uint64_t vpn, bool write) {
   if (as.IsResident(vpn)) {
     ++hits_;
-    TouchLru(as, vpn);
+    uint32_t f = as.FrameOf(vpn);
+    MoveRunToTail(f, f);
     if (write) {
       as.MarkDirty(vpn);
     }
@@ -391,7 +420,8 @@ void Pager::AccessRange(AddressSpace& as, uint64_t first, size_t count, bool wri
   // the disk (another session's fault) contribute a join on that read's op.
   //
   // The steady-state keystroke path is all hits: `runs`/`io_keys` stay empty and the
-  // whole call touches nothing but the page array and the recency list.
+  // call costs one in-flight lookup plus one recency splice per run of resident pages
+  // already adjacent in the list (the pages' hit counts and dirty bits stay per page).
   std::vector<int> runs;
   std::vector<uint64_t> io_keys;
   std::vector<uint64_t> joins;
@@ -399,19 +429,45 @@ void Pager::AccessRange(AddressSpace& as, uint64_t first, size_t count, bool wri
   uint64_t prev_missing = 0;
   bool have_prev = false;
   int64_t faulted_pages = 0;
-  for (uint64_t vpn = first; vpn < first + count; ++vpn) {
-    bool needs_disk = as.WasEvicted(vpn);
-    bool faulted = MakeResident(as, vpn, write);
-    faulted_pages += faulted ? 1 : 0;
-    if (!needs_disk) {
-      if (!faulted && !in_flight_.empty()) {
-        auto fit = in_flight_.find(FramesKey::Of(as, vpn));
-        if (fit != in_flight_.end() &&
-            std::find(joins.begin(), joins.end(), fit->second) == joins.end()) {
-          joins.push_back(fit->second);
-        }
+  const uint64_t end = first + count;
+  // This space's reads inside the range are one contiguous key range of in_flight_,
+  // [Of(as, first), Of(as, end)), walked in step with vpn: `next_read` is the page of
+  // the next one, or `end` past the last. Nothing below inserts or erases in_flight_
+  // entries, so the iterator stays valid.
+  auto read = in_flight_.lower_bound(FramesKey::Of(as, first));
+  const uint64_t read_end = FramesKey::Of(as, end);
+  auto page_of_read = [&] {
+    return read != in_flight_.end() && read->first < read_end ? FramesKey::Vpn(read->first)
+                                                              : end;
+  };
+  uint64_t next_read = page_of_read();
+  RecencyRun touched;
+  for (uint64_t vpn = first; vpn < end; ++vpn) {
+    uint64_t reader = 0;  // op whose read of this page is on the disk (op ids start at 1)
+    if (vpn == next_read) {
+      reader = read->second;
+      ++read;
+      next_read = page_of_read();
+    }
+    if (as.IsResident(vpn)) {
+      ++hits_;
+      TouchInRun(as.FrameOf(vpn), touched);
+      if (write) {
+        as.MarkDirty(vpn);
       }
-      continue;  // hit or zero-fill: no I/O of our own
+      if (reader != 0 && std::find(joins.begin(), joins.end(), reader) == joins.end()) {
+        joins.push_back(reader);
+      }
+      continue;
+    }
+    // EvictOneFrame reads the LRU head and AllocFrame links at the tail: the pending
+    // recency run must be in place first.
+    FlushRun(touched);
+    bool needs_disk = as.WasEvicted(vpn);
+    MakeResident(as, vpn, write);
+    ++faulted_pages;
+    if (!needs_disk) {
+      continue;  // zero-fill: no I/O of our own
     }
     io_keys.push_back(FramesKey::Of(as, vpn));
     bool adjacent = have_prev && vpn == prev_missing + 1;
@@ -426,6 +482,7 @@ void Pager::AccessRange(AddressSpace& as, uint64_t first, size_t count, bool wri
     prev_missing = vpn;
     have_prev = true;
   }
+  FlushRun(touched);
   if (current_run > 0) {
     runs.push_back(static_cast<int>(current_run));
   }
@@ -505,12 +562,14 @@ void Pager::Prefault(AddressSpace& as, uint64_t first, size_t count) {
   const uint64_t end = first + count;
   as.EnsurePages(end);
   uint64_t vpn = first;
+  RecencyRun touched;
   while (vpn < end) {
     if (as.IsResident(vpn)) {
-      TouchLru(as, vpn);
+      TouchInRun(as.FrameOf(vpn), touched);
       ++vpn;
       continue;
     }
+    FlushRun(touched);
     if (frames_used_ >= config_.total_frames) {
       EvictOneFrame(as);
     }
@@ -522,6 +581,7 @@ void Pager::Prefault(AddressSpace& as, uint64_t first, size_t count) {
     PlaceRunAtTail(as, vpn, n);
     vpn += n;
   }
+  FlushRun(touched);
 }
 
 void Pager::PlaceRunAtTail(AddressSpace& as, uint64_t first, size_t n) {
@@ -809,17 +869,17 @@ void Pager::LoadFrom(SnapshotReader& r, EventRearm& plan) {
     if (has_done) {
       op.done = plan.Build(op.done_key);
     }
-    op.runs.assign(r.U64(), 0);
+    op.runs.assign(r.Count("pager.op"), 0);
     for (int& run : op.runs) {
       run = static_cast<int>(r.I64());
     }
     op.next_run = r.U64();
-    op.keys.assign(r.U64(), 0);
+    op.keys.assign(r.Count("pager.op"), 0);
     for (uint64_t& key : op.keys) {
       key = r.U64();
     }
     op.throttled = r.Bool();
-    op.waiter_ops.assign(r.U64(), 0);
+    op.waiter_ops.assign(r.Count("pager.op"), 0);
     for (uint64_t& wo : op.waiter_ops) {
       wo = r.U64();
     }
@@ -833,7 +893,7 @@ void Pager::LoadFrom(SnapshotReader& r, EventRearm& plan) {
   issues_.clear();
   for (int which = 0; which < 2; ++which) {
     std::vector<PendingOpEvent>& list = which == 0 ? fires_ : issues_;
-    uint64_t n = r.U64();
+    size_t n = r.Count("pager.pending");
     list.reserve(n);  // EventId out-pointers below must stay stable
     for (uint64_t i = 0; i < n; ++i) {
       uint64_t seq = r.U64();

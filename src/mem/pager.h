@@ -19,6 +19,16 @@
 // consolidated logins (~1M page touches) this is the difference between the pager being
 // the profile's top entry and it disappearing into the noise.
 //
+// A keystroke's page-in is a range operation too. AccessRange finds the in-flight reads
+// it may have to join with one ordered-map lookup (this space's reads inside the range
+// are one contiguous key range, walked in step with the pages) and moves each run of
+// resident pages that are already neighbours in the recency list to the MRU tail with
+// one splice, so the all-hit pass a pipeline makes per keystroke costs O(runs + in-flight
+// reads in range) list and map work instead of a map probe and a relink per page. The
+// recency order, joins and counters are those of per-page touches
+// (tests/mem_access_range_property_test.cc checks them against one-page AccessRange
+// calls).
+//
 // Login prefault is a range operation. Prefault walks its range once: each run of
 // non-resident pages that fits in the free frames grows the page table once, takes its
 // frames in AllocFrame's order (free list, then the slab end) as one chain linked in
@@ -106,7 +116,10 @@ class Pager {
 
   // Touches [first, first+count). Previously-evicted pages are clustered into
   // up-to-`cluster_pages` contiguous disk reads issued back to back; `done` fires when
-  // the last read completes (immediately if nothing needs I/O).
+  // the last read completes and every in-flight read of a touched resident page (another
+  // access's page-in) has landed, or immediately if nothing needs I/O. The all-hit part
+  // is one in-flight range scan plus one recency splice per run of list neighbours;
+  // hits and dirty bits are still counted per page.
   void AccessRange(AddressSpace& as, uint64_t first, size_t count, bool write,
                    InlineCallback done, ResumeKey done_key = {});
 
@@ -166,6 +179,7 @@ class Pager {
     static uint64_t Of(const AddressSpace& as, uint64_t vpn) {
       return (as.id() << 44) | vpn;
     }
+    static uint64_t Vpn(uint64_t key) { return key & ((uint64_t{1} << 44) - 1); }
   };
   static constexpr uint32_t kNilFrame = 0xFFFFFFFFu;
   // One physical frame: who holds it, and its neighbours in the global recency list
@@ -212,7 +226,19 @@ class Pager {
   // faulted (was not resident).
   bool MakeResident(AddressSpace& as, uint64_t vpn, bool write);
   void EvictOneFrame(const AddressSpace& for_whom);
-  void TouchLru(AddressSpace& as, uint64_t vpn);
+  // Recency touches. Touching frames [a..b], a run already linked in that order, moves
+  // it to the MRU tail with one splice — the list per-frame touches in run order leave.
+  // A range walk feeds each resident page's frame to TouchInRun, which extends the
+  // pending run while the next frame is its list successor and otherwise flushes it and
+  // opens a new one; the walk flushes before anything else reads or links the list (a
+  // fault's eviction reads the LRU head, its new frame links at the tail) and at its end.
+  struct RecencyRun {
+    uint32_t first = kNilFrame;
+    uint32_t last = kNilFrame;
+  };
+  void MoveRunToTail(uint32_t a, uint32_t b);
+  void TouchInRun(uint32_t f, RecencyRun& run);
+  void FlushRun(RecencyRun& run);
   // Frame-slab plumbing: allocate a slot (free list first) linked at the MRU tail /
   // unthread a slot from the recency list / return a slot to the free list.
   uint32_t AllocFrame(AddressSpace& as, uint64_t vpn);

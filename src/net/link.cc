@@ -337,7 +337,7 @@ void Link::LoadFrom(SnapshotReader& r, EventRearm& plan) {
     wire_slots_.push_back(slot);
   }
   deliveries_.clear();
-  uint64_t n = r.U64();
+  size_t n = r.Count("link.deliveries");
   deliveries_.reserve(n);  // EventId out-pointers below must stay stable
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t seq = r.U64();

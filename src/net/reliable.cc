@@ -344,7 +344,7 @@ void ReliableChannel::LoadFrom(SnapshotReader& r, EventRearm& plan) {
     }
   }
   fates_.clear();
-  uint64_t fates = r.U64();
+  size_t fates = r.Count("reliable.fates");
   fates_.reserve(fates);  // EventId out-pointers below must stay stable
   for (uint64_t i = 0; i < fates; ++i) {
     uint64_t ev_seq = r.U64();
@@ -359,7 +359,7 @@ void ReliableChannel::LoadFrom(SnapshotReader& r, EventRearm& plan) {
   }
   prune_fates_at_ = std::max<size_t>(64, fates_.size() * 2);
   acks_.clear();
-  uint64_t acks = r.U64();
+  size_t acks = r.Count("reliable.acks");
   acks_.reserve(acks);
   for (uint64_t i = 0; i < acks; ++i) {
     uint64_t ev_seq = r.U64();

@@ -142,7 +142,7 @@ class SloWatchdog {
     violating_observed_ = r.F64();
     peak_backlog_bytes_ = r.I64();
     frozen_gauges_.clear();
-    uint64_t n = r.U64();
+    size_t n = r.Count("slo.frozen_gauges");
     frozen_gauges_.reserve(n);
     for (uint64_t i = 0; i < n; ++i) {
       std::string name = r.Str();

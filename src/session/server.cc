@@ -1378,8 +1378,8 @@ void Server::LoadFrom(SnapshotReader& r, EventRearm& plan) {
 
   r.EnterSection(Tag(ServerSection::kPending));
   {
-    uint64_t n = r.U64();
-    pending_daemon_chunks_.ResetFor(static_cast<size_t>(n));
+    size_t n = r.Count("server.pending");
+    pending_daemon_chunks_.ResetFor(n);
     auto& items = pending_daemon_chunks_.items;
     for (uint64_t i = 0; i < n; ++i) {
       uint64_t seq = r.U64();
@@ -1397,8 +1397,8 @@ void Server::LoadFrom(SnapshotReader& r, EventRearm& plan) {
     }
   }
   {
-    uint64_t n = r.U64();
-    pending_arrivals_.ResetFor(static_cast<size_t>(n));
+    size_t n = r.Count("server.pending");
+    pending_arrivals_.ResetFor(n);
     auto& items = pending_arrivals_.items;
     for (uint64_t i = 0; i < n; ++i) {
       uint64_t seq = r.U64();
@@ -1417,8 +1417,8 @@ void Server::LoadFrom(SnapshotReader& r, EventRearm& plan) {
     }
   }
   {
-    uint64_t n = r.U64();
-    pending_paints_.ResetFor(static_cast<size_t>(n));
+    size_t n = r.Count("server.pending");
+    pending_paints_.ResetFor(n);
     auto& items = pending_paints_.items;
     for (uint64_t i = 0; i < n; ++i) {
       uint64_t seq = r.U64();
@@ -1436,8 +1436,8 @@ void Server::LoadFrom(SnapshotReader& r, EventRearm& plan) {
     }
   }
   {
-    uint64_t n = r.U64();
-    pending_holds_.ResetFor(static_cast<size_t>(n));
+    size_t n = r.Count("server.pending");
+    pending_holds_.ResetFor(n);
     auto& items = pending_holds_.items;
     for (uint64_t i = 0; i < n; ++i) {
       uint64_t seq = r.U64();
@@ -1462,8 +1462,8 @@ void Server::LoadFrom(SnapshotReader& r, EventRearm& plan) {
     }
   }
   {
-    uint64_t n = r.U64();
-    pending_reconnects_.ResetFor(static_cast<size_t>(n));
+    size_t n = r.Count("server.pending");
+    pending_reconnects_.ResetFor(n);
     auto& items = pending_reconnects_.items;
     for (uint64_t i = 0; i < n; ++i) {
       uint64_t seq = r.U64();
@@ -1476,8 +1476,8 @@ void Server::LoadFrom(SnapshotReader& r, EventRearm& plan) {
     }
   }
   {
-    uint64_t n = r.U64();
-    pending_daemon_restarts_.ResetFor(static_cast<size_t>(n));
+    size_t n = r.Count("server.pending");
+    pending_daemon_restarts_.ResetFor(n);
     auto& items = pending_daemon_restarts_.items;
     for (uint64_t i = 0; i < n; ++i) {
       uint64_t seq = r.U64();

@@ -181,6 +181,17 @@ void SnapshotReader::Need(size_t n) const {
   }
 }
 
+size_t SnapshotReader::Count(std::string_view field) {
+  uint64_t n = U64();
+  if (n > Remaining()) {
+    throw SnapshotError(std::string(field), "element count " + std::to_string(n) +
+                                                " overruns the " +
+                                                std::to_string(Remaining()) +
+                                                " bytes left in its section");
+  }
+  return static_cast<size_t>(n);
+}
+
 uint8_t SnapshotReader::U8() {
   Need(1);
   return data_[pos_++];
@@ -520,7 +531,7 @@ KernelState LoadKernel(SnapshotReader& r) {
   state.now = r.Time();
   state.events_executed = r.U64();
   state.next_seq = r.U64();
-  uint64_t n = r.U64();
+  size_t n = r.Count("Snapshot.kernel");
   state.manifest.reserve(n);
   uint64_t prev_seq = 0;
   for (uint64_t i = 0; i < n; ++i) {

@@ -25,6 +25,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -96,6 +97,9 @@ class SnapshotReader {
   double F64();
   std::string Str();
   std::vector<uint8_t> Blob();
+  // An element count: throws SnapshotError(field, ...) when it exceeds Remaining(), since
+  // every element takes at least one byte, so a corrupt count never sizes an allocation.
+  size_t Count(std::string_view field);
   TimePoint Time() { return TimePoint::FromMicros(I64()); }
   Duration Dur() { return Duration::Micros(I64()); }
 

@@ -293,6 +293,9 @@ struct SlabImage {
   uint32_t lru_tail = kNil;
   uint32_t free_head = kNil;
   uint64_t frames_used = 0;
+  // When set, the op table holds one op whose runs, keys and waiter-op lists claim these
+  // element counts (their elements are not written).
+  std::vector<uint64_t> op_lists;
 };
 
 // Writes `img` field by field in the pager section's format, with empty shared-segment,
@@ -323,8 +326,25 @@ std::vector<uint8_t> Encode(const SlabImage& img) {
   w.U64(img.frames_used);
   w.U64(0);  // shared segments
   w.U64(0);  // in-flight page-ins
-  w.U64(0);  // ops
-  w.U64(1);  // next op id
+  if (img.op_lists.empty()) {
+    w.U64(0);  // ops
+  } else {
+    w.U64(1);  // one op, id 1, no completion callback, nothing traced
+    w.U64(1);
+    w.U64(1);
+    w.Bool(false);
+    ResumeKey{}.SaveTo(w);
+    w.U64(img.op_lists[0]);  // runs
+    w.U64(0);                // next run
+    w.U64(img.op_lists[1]);  // keys
+    w.Bool(false);
+    w.U64(img.op_lists[2]);  // waiter ops
+    w.Bool(false);
+    w.Time(TimePoint());
+    w.I64(0);
+    w.I64(0);
+  }
+  w.U64(img.op_lists.empty() ? 1 : 2);  // next op id
   w.U64(0);  // pending op fires
   w.U64(0);  // pending chain issues
   for (int counter = 0; counter < 7; ++counter) {
@@ -437,6 +457,31 @@ TEST(PagerSnapshotTest, LinkPastTheSlabIsRejected) {
   SlabImage img = ValidImage();
   img.next[1] = 7;
   ExpectSlabRejected(img, "links past the slab");
+}
+
+// A corrupt op-list count must be a SnapshotError, not an allocation sized by it: each
+// of the three lists claims 2^40 elements in turn (the restore used to throw
+// std::bad_alloc here, or abort under ASan).
+TEST(PagerSnapshotTest, OpListCountPastTheSectionIsRejected) {
+  {
+    SlabImage img = ValidImage();
+    img.op_lists = {0, 0, 0};
+    SlabPager target;
+    target.Load(Encode(img));  // the encoding itself is well formed
+  }
+  for (size_t list = 0; list < 3; ++list) {
+    SCOPED_TRACE(list);
+    SlabImage img = ValidImage();
+    img.op_lists = {0, 0, 0};
+    img.op_lists[list] = uint64_t{1} << 40;
+    SlabPager target;
+    try {
+      target.Load(Encode(img));
+      ADD_FAILURE() << "restore accepted an op list of 2^40 elements";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.field(), "pager.op");
+    }
+  }
 }
 
 }  // namespace

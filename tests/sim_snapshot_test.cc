@@ -125,6 +125,37 @@ TEST(SnapshotPrimitives, LeaveSectionRejectsUnderconsumedFrame) {
   EXPECT_THROW(r.LeaveSection(), SnapshotError);  // schema drift: one value unread
 }
 
+// A count is checked against its own section's bytes, not the blob's: three one-byte
+// elements fit a section holding them, a fourth does not, and a count of 2^40 is a
+// SnapshotError naming the field rather than an allocation.
+TEST(SnapshotPrimitives, CountIsBoundedByTheBytesLeftInItsSection) {
+  for (uint64_t claim : {uint64_t{3}, uint64_t{4}, uint64_t{1} << 40}) {
+    SCOPED_TRACE(claim);
+    SnapshotWriter w;
+    w.BeginSection(0x10);
+    w.U64(claim);
+    w.U64(7);
+    w.U64(8);
+    w.U64(9);
+    w.EndSection();
+    w.U64(0);  // bytes after the section do not count
+    w.U64(0);
+    std::vector<uint8_t> blob = w.Finish();
+    SnapshotReader r(blob);
+    r.EnterSection(0x10);
+    if (claim == 3) {
+      EXPECT_EQ(r.Count("test.list"), 3u);
+      continue;
+    }
+    try {
+      r.Count("test.list");
+      ADD_FAILURE() << "count " << claim << " accepted";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.field(), "test.list");
+    }
+  }
+}
+
 TEST(SnapshotPrimitives, CorruptionIsRejectedUpFront) {
   SnapshotWriter w;
   w.BeginSection(0x10);
