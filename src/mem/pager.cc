@@ -562,14 +562,13 @@ void Pager::Prefault(AddressSpace& as, uint64_t first, size_t count) {
   const uint64_t end = first + count;
   as.EnsurePages(end);
   uint64_t vpn = first;
-  RecencyRun touched;
   while (vpn < end) {
     if (as.IsResident(vpn)) {
-      TouchInRun(as.FrameOf(vpn), touched);
+      uint32_t f = as.FrameOf(vpn);
+      MoveRunToTail(f, f);
       ++vpn;
       continue;
     }
-    FlushRun(touched);
     if (frames_used_ >= config_.total_frames) {
       EvictOneFrame(as);
     }
@@ -581,7 +580,6 @@ void Pager::Prefault(AddressSpace& as, uint64_t first, size_t count) {
     PlaceRunAtTail(as, vpn, n);
     vpn += n;
   }
-  FlushRun(touched);
 }
 
 void Pager::PlaceRunAtTail(AddressSpace& as, uint64_t first, size_t n) {

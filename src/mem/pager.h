@@ -228,7 +228,7 @@ class Pager {
   void EvictOneFrame(const AddressSpace& for_whom);
   // Recency touches. Touching frames [a..b], a run already linked in that order, moves
   // it to the MRU tail with one splice — the list per-frame touches in run order leave.
-  // A range walk feeds each resident page's frame to TouchInRun, which extends the
+  // AccessRange's walk feeds each resident page's frame to TouchInRun, which extends the
   // pending run while the next frame is its list successor and otherwise flushes it and
   // opens a new one; the walk flushes before anything else reads or links the list (a
   // fault's eviction reads the LRU head, its new frame links at the tail) and at its end.

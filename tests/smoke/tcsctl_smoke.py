@@ -14,13 +14,6 @@ Checks:
                 transitions, and per profile the on arm's worst p99 is no worse than
                 the off arm's
   wan-jobs      the same sweep's stdout is byte-identical for --jobs=1 and --jobs=4
-  blame-report  a 6-config blame sweep with 2% loss and 50 ms flaps: report shape, every
-                point's attribution balances (no accounting mismatches, interactions > 0,
-                stage totals sum to the end-to-end total, minted >= keystrokes) and the
-                loss shows up in the retransmit stage of every point that attributes each
-                keystroke (and of the sweep)
-  blame-jobs    the same sweep's stdout and report are byte-identical for --jobs=1 and
-                --jobs=4
   rewind        postmortem --rewind-ms on a 3-user consolidation that violates its SLO:
                 the replay reproduces the violation, its frozen-window trace is
                 byte-identical to the monitored run's, and the traced lead-up it writes
@@ -38,7 +31,6 @@ import sys
 CHAOS = ["chaos", "--os=tse", "--loss=0,0.01", "--flap-ms=0,50", "--seconds=10",
          "--disk-stall=0.05"]
 WAN = ["wan", "--os=tse", "--profile=dsl,lte", "--seconds=10"]
-BLAME = ["blame", "--seconds=10", "--loss=0.02", "--flap-ms=50"]
 REWIND = ["postmortem", "consolidation", "--users=3", "--ram-mib=48", "--seconds=4",
           "--slo-p99-ms=1", "--rewind-ms=500", "--postmortem-dir=pm"]
 
@@ -91,34 +83,6 @@ def check_wan_report(tcsctl):
           f"{by[('dsl', True)]['worst_p99_ms']:.1f} ms with degradation")
 
 
-def check_blame_report(tcsctl):
-    run(tcsctl, BLAME + ["--report-out=blame.json"])
-    report = json.load(open("blame.json"))
-    assert report["experiment"] == "blame", report
-    points = report["points"]
-    assert len(points) == 6, f"expected 6 configs, got {len(points)}"
-    retried = 0
-    for p in points:
-        b = p["blame"]
-        assert b["accounting_mismatches"] == 0, p
-        assert b["interactions"] > 0, p
-        # Per-stage microsecond totals (mem stall included) sum exactly to the total.
-        assert sum(s["total_us"] for s in b["stages"]) == b["total_us"], p
-        assert b["minted"] >= b["keystrokes"], p
-        # The lossy plan must surface in the retransmit stage. A coalesced batch is
-        # attributed to its oldest keystroke only, so where keystrokes coalesce (a
-        # saturated server commits fewer interactions than it mints) a lost repeat's
-        # retry time is not in any record; where every keystroke is its own
-        # interaction, the retries must show.
-        retrans = next(s for s in b["stages"] if s["stage"] == "retransmit")
-        if b["interactions"] == b["keystrokes"]:
-            assert retrans["total_us"] > 0, p
-        retried += retrans["total_us"] > 0
-    assert retried > 0, "no blame point shows retransmit time"
-    print(f"{len(points)} blame points balance to the microsecond; "
-          f"{retried} show retransmit time")
-
-
 def check_rewind(tcsctl):
     out = run(tcsctl, REWIND).decode()
     assert "replay reproduced the violation" in out, out
@@ -132,22 +96,11 @@ def check_rewind(tcsctl):
     print(f"rewind replay reproduced the violation; lead-up trace {size} bytes")
 
 
-def check_jobs(tcsctl, args, report=False):
-    """Runs `args` with --jobs=1 and --jobs=4; stdout (and with `report`, the
-    --report-out JSON) must be byte-identical."""
-    outs = []
-    for jobs in (1, 4):
-        extra = [f"--jobs={jobs}"]
-        if report:
-            extra.append(f"--report-out={args[0]}-j{jobs}.json")
-        stdout = run(tcsctl, args + extra)
-        outs.append((stdout, open(f"{args[0]}-j{jobs}.json", "rb").read() if report
-                     else b""))
-    assert outs[0][0] == outs[1][0], f"{args[0]} stdout depends on --jobs"
-    assert outs[0][1] == outs[1][1], f"{args[0]} report depends on --jobs"
-    what = "stdout and report" if report else "stdout"
-    print(f"{args[0]} {what} identical for --jobs=1 and --jobs=4 "
-          f"({len(outs[0][0])} + {len(outs[0][1])} bytes)")
+def check_jobs(tcsctl, args):
+    one = run(tcsctl, args + ["--jobs=1"])
+    four = run(tcsctl, args + ["--jobs=4"])
+    assert one == four, f"{args[0]} stdout depends on --jobs"
+    print(f"{args[0]} stdout identical for --jobs=1 and --jobs=4 ({len(one)} bytes)")
 
 
 def main():
@@ -161,8 +114,6 @@ def main():
         "chaos-jobs": lambda: check_jobs(tcsctl, CHAOS),
         "wan-report": lambda: check_wan_report(tcsctl),
         "wan-jobs": lambda: check_jobs(tcsctl, WAN),
-        "blame-report": lambda: check_blame_report(tcsctl),
-        "blame-jobs": lambda: check_jobs(tcsctl, BLAME, report=True),
         "rewind": lambda: check_rewind(tcsctl),
     }
     if check not in checks:
