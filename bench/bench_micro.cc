@@ -284,34 +284,47 @@ void BM_PagerPrefault(benchmark::State& state) {
 BENCHMARK(BM_PagerPrefault)->Arg(8)->Arg(64)->Arg(512)->Unit(benchmark::kMillisecond);
 
 // The keystroke page-in at the mem layer: one pipeline pass's AccessRange over a user's
-// resident editor working set (the mean touch, 775 of 1000 pages) on a pager holding 512
-// TSE logins, users taken in turn the way their keystrokes interleave. Arg 1 first puts
-// 64 other users' page-ins on the disk (never drained), as a paging server almost always
-// has one; Arg 0 has none. Items are touched pages.
+// resident editor working set on a pager holding 512 TSE logins, users taken in turn the
+// way their keystrokes interleave. Arg 0 touches the mean prefix (775 of 1000 pages)
+// every time. Arg 1 does too, after first putting 64 other users' page-ins on the disk
+// (never drained), as a paging server almost always has one. Arg 2 draws each prefix
+// length as the keystroke path does (a uniform fraction between the profile's
+// ws_touch_min and ws_touch_max), so the recency-run memo's splits and misses are
+// priced. Items are touched pages.
 void BM_PagerAccessRange(benchmark::State& state) {
   const OsProfile profile = OsProfile::Tse();
   Simulator sim;
   Disk disk(sim, Rng(1));
   Pager pager(sim, disk, TseServerPager(profile));
   LoggedIn users = LoginPrefault(pager, profile, 512);
-  if (state.range(0) != 0) {
+  if (state.range(0) == 1) {
     for (size_t u = 0; u < 512; u += 8) {
       pager.MarkSwappedOut(*users.processes[u], 0, 1);
       pager.AccessRange(*users.processes[u], 0, 1, /*write=*/false, nullptr);
     }
   }
-  const auto pages = static_cast<size_t>(
-      0.5 * (profile.ws_touch_min + profile.ws_touch_max) *
-      static_cast<double>(profile.editor_working_set_pages));
+  const bool drawn = state.range(0) == 2;
+  const auto working_set = static_cast<double>(profile.editor_working_set_pages);
+  const auto mean_pages = static_cast<size_t>(
+      0.5 * (profile.ws_touch_min + profile.ws_touch_max) * working_set);
+  Rng rng(7);
+  int64_t touched = 0;
   size_t u = 0;
   for (auto _ : state) {
+    size_t pages = mean_pages;
+    if (drawn) {
+      double frac = profile.ws_touch_min +
+                    rng.NextDouble() * (profile.ws_touch_max - profile.ws_touch_min);
+      pages = std::max<size_t>(1, static_cast<size_t>(frac * working_set));
+    }
     pager.AccessRange(*users.editors[u], 0, pages, /*write=*/false, nullptr);
+    touched += static_cast<int64_t>(pages);
     u = u + 1 == users.editors.size() ? 0 : u + 1;
   }
   benchmark::DoNotOptimize(pager.hits());
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(pages));
+  state.SetItemsProcessed(touched);
 }
-BENCHMARK(BM_PagerAccessRange)->Arg(0)->Arg(1);
+BENCHMARK(BM_PagerAccessRange)->Arg(0)->Arg(1)->Arg(2);
 
 // End-to-end cost of simulating a consolidated server: N concurrent typists, each with
 // its own protocol pipeline multiplexed over the shared link, with the latency-attribution

@@ -72,6 +72,7 @@ class AddressSpace {
   void LoadFrom(SnapshotReader& r) {
     pages_.resize(r.Count("pager.space." + name_));
     resident_count_ = 0;
+    recency_cuts_.clear();  // the restored recency list is not the one it described
     int64_t e = 0;
     for (uint32_t& page : pages_) {
       int64_t delta = r.I64();
@@ -128,6 +129,11 @@ class AddressSpace {
   bool interactive_;
   std::vector<uint32_t> pages_;
   size_t resident_count_ = 0;
+  // Recency-run memo, derived state that only the Pager reads and writes (see
+  // Pager::AccessRange): cut points c0 < c1 < ... < ck that split the resident interval
+  // [c0, ck) into runs [ci, ci+1), each a segment of consecutive recency-list neighbours
+  // in vpn order. Empty when invalid. Declared after the hot fields on purpose.
+  std::vector<uint64_t> recency_cuts_;
 };
 
 }  // namespace tcs

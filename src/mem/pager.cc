@@ -57,6 +57,7 @@ void Pager::ReleaseShared(const std::string& key) {
 
 void Pager::UnlinkFrame(uint32_t f) {
   Frame& fr = frames_[f];
+  fr.as->recency_cuts_.clear();  // a list change the owner's memo did not make
   if (fr.prev != kNilFrame) {
     frames_[fr.prev].next = fr.next;
   } else {
@@ -255,6 +256,11 @@ void Pager::OnIssueFire(uint64_t id) {
 }
 
 void Pager::MoveRunToTail(uint32_t a, uint32_t b) {
+  frames_[a].as->recency_cuts_.clear();  // a list change the owner's memo did not make
+  SpliceRunToTail(a, b);
+}
+
+void Pager::SpliceRunToTail(uint32_t a, uint32_t b) {
   if (b == lru_tail_) {
     return;  // already most recently used
   }
@@ -272,6 +278,42 @@ void Pager::MoveRunToTail(uint32_t a, uint32_t b) {
   frames_[lru_tail_].next = a;
   frames_[b].next = kNilFrame;
   lru_tail_ = b;
+}
+
+bool Pager::TouchMemoizedRuns(AddressSpace& as, uint64_t first, uint64_t end) {
+  std::vector<uint64_t>& cuts = as.recency_cuts_;
+  if (cuts.empty() || first < cuts.front() || end > cuts.back()) {
+    return false;
+  }
+  // Each memo run's piece inside [first, end) is a list segment: splicing the pieces to
+  // the tail in vpn order leaves the list per-page touches in vpn order leave. The
+  // splices change only the links at the pieces' ends, so the runs outside the range keep
+  // their interior links, and the range becomes one run.
+  std::vector<uint64_t>& next = memo_scratch_;
+  next.clear();
+  for (size_t i = 0; i + 1 < cuts.size(); ++i) {
+    uint64_t lo = cuts[i];
+    uint64_t hi = cuts[i + 1];
+    if (hi <= first || lo >= end) {
+      next.push_back(lo);
+      continue;
+    }
+    uint64_t a = std::max(lo, first);
+    uint64_t b = std::min(hi, end);
+    SpliceRunToTail(as.FrameOf(a), as.FrameOf(b - 1));
+    if (lo < first) {
+      next.push_back(lo);
+    }
+    if (a == first) {
+      next.push_back(first);
+    }
+    if (hi > end) {
+      next.push_back(end);
+    }
+  }
+  next.push_back(cuts.back());
+  cuts.assign(next.begin(), next.end());
+  return true;
 }
 
 void Pager::TouchInRun(uint32_t f, RecencyRun& run) {
@@ -418,73 +460,93 @@ void Pager::AccessRange(AddressSpace& as, uint64_t first, size_t count, bool wri
   // Bookkeeping first: compute contiguous runs of missing pages, make everything resident,
   // then simulate the I/O chain for the runs. Resident pages whose page-in is still on
   // the disk (another session's fault) contribute a join on that read's op.
-  //
-  // The steady-state keystroke path is all hits: `runs`/`io_keys` stay empty and the
-  // call costs one in-flight lookup plus one recency splice per run of resident pages
-  // already adjacent in the list (the pages' hit counts and dirty bits stay per page).
   std::vector<int> runs;
   std::vector<uint64_t> io_keys;
   std::vector<uint64_t> joins;
-  size_t current_run = 0;
-  uint64_t prev_missing = 0;
-  bool have_prev = false;
+  auto join = [&joins](uint64_t reader) {
+    if (std::find(joins.begin(), joins.end(), reader) == joins.end()) {
+      joins.push_back(reader);
+    }
+  };
   int64_t faulted_pages = 0;
   const uint64_t end = first + count;
   // This space's reads inside the range are one contiguous key range of in_flight_,
-  // [Of(as, first), Of(as, end)), walked in step with vpn: `next_read` is the page of
-  // the next one, or `end` past the last. Nothing below inserts or erases in_flight_
-  // entries, so the iterator stays valid.
+  // [Of(as, first), Of(as, end)), visited in vpn order. Nothing below inserts or erases
+  // in_flight_ entries, so the iterator stays valid.
   auto read = in_flight_.lower_bound(FramesKey::Of(as, first));
   const uint64_t read_end = FramesKey::Of(as, end);
-  auto page_of_read = [&] {
-    return read != in_flight_.end() && read->first < read_end ? FramesKey::Vpn(read->first)
-                                                              : end;
-  };
-  uint64_t next_read = page_of_read();
-  RecencyRun touched;
-  for (uint64_t vpn = first; vpn < end; ++vpn) {
-    uint64_t reader = 0;  // op whose read of this page is on the disk (op ids start at 1)
-    if (vpn == next_read) {
-      reader = read->second;
-      ++read;
-      next_read = page_of_read();
+  if (!write && TouchMemoizedRuns(as, first, end)) {
+    // The steady-state keystroke pass: every page lies in the memo's resident interval,
+    // so the pass is all hits and costs O(memo runs + in-flight reads in range), with no
+    // per-page work. Every read in the key range is of a resident page: join it.
+    hits_ += static_cast<int64_t>(count);
+    for (; read != in_flight_.end() && read->first < read_end; ++read) {
+      join(read->second);
     }
-    if (as.IsResident(vpn)) {
-      ++hits_;
-      TouchInRun(as.FrameOf(vpn), touched);
-      if (write) {
-        as.MarkDirty(vpn);
+  } else {
+    // The per-page walk, for writes, faults and memo misses: one splice per run of
+    // resident pages already adjacent in the recency list, `read` advanced in step with
+    // vpn (`next_read` is the page of the next read, or `end` past the last).
+    auto page_of_read = [&] {
+      return read != in_flight_.end() && read->first < read_end
+                 ? FramesKey::Vpn(read->first)
+                 : end;
+    };
+    uint64_t next_read = page_of_read();
+    size_t current_run = 0;
+    uint64_t prev_missing = 0;
+    bool have_prev = false;
+    const int64_t evictions_before = evictions_;
+    RecencyRun touched;
+    for (uint64_t vpn = first; vpn < end; ++vpn) {
+      uint64_t reader = 0;  // op whose read of this page is on the disk (ids start at 1)
+      if (vpn == next_read) {
+        reader = read->second;
+        ++read;
+        next_read = page_of_read();
       }
-      if (reader != 0 && std::find(joins.begin(), joins.end(), reader) == joins.end()) {
-        joins.push_back(reader);
+      if (as.IsResident(vpn)) {
+        ++hits_;
+        TouchInRun(as.FrameOf(vpn), touched);
+        if (write) {
+          as.MarkDirty(vpn);
+        }
+        if (reader != 0) {
+          join(reader);
+        }
+        continue;
       }
-      continue;
+      // EvictOneFrame reads the LRU head and AllocFrame links at the tail: the pending
+      // recency run must be in place first.
+      FlushRun(touched);
+      bool needs_disk = as.WasEvicted(vpn);
+      MakeResident(as, vpn, write);
+      ++faulted_pages;
+      if (!needs_disk) {
+        continue;  // zero-fill: no I/O of our own
+      }
+      io_keys.push_back(FramesKey::Of(as, vpn));
+      bool adjacent = have_prev && vpn == prev_missing + 1;
+      if (adjacent && current_run < config_.cluster_pages) {
+        ++current_run;
+      } else {
+        if (current_run > 0) {
+          runs.push_back(static_cast<int>(current_run));
+        }
+        current_run = 1;
+      }
+      prev_missing = vpn;
+      have_prev = true;
     }
-    // EvictOneFrame reads the LRU head and AllocFrame links at the tail: the pending
-    // recency run must be in place first.
     FlushRun(touched);
-    bool needs_disk = as.WasEvicted(vpn);
-    MakeResident(as, vpn, write);
-    ++faulted_pages;
-    if (!needs_disk) {
-      continue;  // zero-fill: no I/O of our own
+    if (current_run > 0) {
+      runs.push_back(static_cast<int>(current_run));
     }
-    io_keys.push_back(FramesKey::Of(as, vpn));
-    bool adjacent = have_prev && vpn == prev_missing + 1;
-    if (adjacent && current_run < config_.cluster_pages) {
-      ++current_run;
-    } else {
-      if (current_run > 0) {
-        runs.push_back(static_cast<int>(current_run));
-      }
-      current_run = 1;
+    if (evictions_ == evictions_before) {
+      // Every page was touched or placed at the MRU tail in vpn order and none has left:
+      // the range is now one run of list neighbours.
+      as.recency_cuts_.assign({first, end});
     }
-    prev_missing = vpn;
-    have_prev = true;
-  }
-  FlushRun(touched);
-  if (current_run > 0) {
-    runs.push_back(static_cast<int>(current_run));
   }
   if (faulted_pages > 0 && recorder_ != nullptr) {
     // One batched flight record per faulting access (see Access above).
@@ -605,11 +667,20 @@ void Pager::PlaceRunAtTail(AddressSpace& as, uint64_t first, size_t n) {
     place(f, vpn);
   }
   if (vpn < end) {
+    // The rest is a fresh slab stretch: append each frame once, already linked to the
+    // next index, and cut the last link.
     uint32_t f = static_cast<uint32_t>(frames_.size());
-    frames_.resize(frames_.size() + (end - vpn));
-    for (; vpn < end; ++vpn) {
-      place(f++, vpn);
+    if (prev != kNilFrame) {
+      frames_[prev].next = f;
+    } else {
+      lru_head_ = f;
     }
+    for (; vpn < end; ++vpn, ++f) {
+      frames_.push_back(Frame{&as, vpn, prev, f + 1});
+      as.SetCleanInFrameUncounted(vpn, f);
+      prev = f;
+    }
+    frames_.back().next = kNilFrame;
   }
   lru_tail_ = prev;
   frames_used_ += n;

@@ -21,11 +21,21 @@
 //
 // A keystroke's page-in is a range operation too. AccessRange finds the in-flight reads
 // it may have to join with one ordered-map lookup (this space's reads inside the range
-// are one contiguous key range, walked in step with the pages) and moves each run of
-// resident pages that are already neighbours in the recency list to the MRU tail with
-// one splice, so the all-hit pass a pipeline makes per keystroke costs O(runs + in-flight
-// reads in range) list and map work instead of a map probe and a relink per page. The
-// recency order, joins and counters are those of per-page touches
+// are one contiguous key range, visited in vpn order). Each address space carries a
+// recency-run memo that only the pager writes: an ordered list of vpn runs covering one
+// resident interval, each run a segment of consecutive recency-list neighbours in vpn
+// order. A non-write range inside the memo's interval is all hits, so it adds `count` to
+// the hits, splices each memo piece inside the range to the MRU tail, and rewrites the
+// memo as the pieces outside the range plus the range as one run: O(memo runs + joins),
+// no per-page work. Everything else (writes, faults, memo misses) walks the pages, moving
+// each run of resident list neighbours with one splice, and records its range as the
+// memo when no eviction interleaved. Any other list change to a space's frames clears
+// that space's memo: an UnlinkFrame (eviction, MarkSwappedOut, teardown) or a
+// MoveRunToTail (Access, Prefault's resident step, the page walk). LoadFrom clears every
+// memo. Tail appends (AllocFrame, PlaceRunAtTail) leave a run's interior links alone, so
+// they keep it. The memo is derived state, never serialized, and its run list is
+// unbounded (DESIGN.md "Model hot paths" has the measured run counts and hit rates).
+// The recency order, joins and counters are those of per-page touches
 // (tests/mem_access_range_property_test.cc checks them against one-page AccessRange
 // calls).
 //
@@ -117,9 +127,10 @@ class Pager {
   // Touches [first, first+count). Previously-evicted pages are clustered into
   // up-to-`cluster_pages` contiguous disk reads issued back to back; `done` fires when
   // the last read completes and every in-flight read of a touched resident page (another
-  // access's page-in) has landed, or immediately if nothing needs I/O. The all-hit part
-  // is one in-flight range scan plus one recency splice per run of list neighbours;
-  // hits and dirty bits are still counted per page.
+  // access's page-in) has landed, or immediately if nothing needs I/O. A non-write
+  // range inside the space's recency-run memo is one in-flight range scan plus one
+  // splice per memo run; any other range walks its pages, one splice per run of list
+  // neighbours.
   void AccessRange(AddressSpace& as, uint64_t first, size_t count, bool write,
                    InlineCallback done, ResumeKey done_key = {});
 
@@ -236,7 +247,13 @@ class Pager {
     uint32_t first = kNilFrame;
     uint32_t last = kNilFrame;
   };
+  // MoveRunToTail clears the owner's recency-run memo; SpliceRunToTail, the splice
+  // itself, is for the memo's own moves.
   void MoveRunToTail(uint32_t a, uint32_t b);
+  void SpliceRunToTail(uint32_t a, uint32_t b);
+  // AccessRange's memo hit: if [first, end) lies inside the memo's resident interval,
+  // moves the range to the MRU tail run by run, rewrites the memo and returns true.
+  bool TouchMemoizedRuns(AddressSpace& as, uint64_t first, uint64_t end);
   void TouchInRun(uint32_t f, RecencyRun& run);
   void FlushRun(RecencyRun& run);
   // Frame-slab plumbing: allocate a slot (free list first) linked at the MRU tail /
@@ -307,6 +324,10 @@ class Pager {
   int64_t shared_attaches_ = 0;
   int64_t coalesced_waits_ = 0;
   uint64_t next_as_id_ = 1;
+  // TouchMemoizedRuns builds the rewritten memo here and copies it back. Each buffer
+  // then only grows, so steady-state memo hits allocate nothing; swapping buffers
+  // between spaces kept reallocating them and raised rewind-64's peak RSS by ~2.4 MiB.
+  std::vector<uint64_t> memo_scratch_;
 };
 
 }  // namespace tcs

@@ -13,6 +13,10 @@
 //
 // The join tests at the bottom pin the in-flight scan itself: a range joins exactly the
 // in-flight reads of its own address space inside [first, first+count), each once.
+//
+// The memo mixes pin the recency-run memo: keystroke-shaped prefix passes [0, k) over
+// one space's working set, k drawn as the server draws it, interleaved with each
+// operation that must invalidate (or, for tail appends, must not disturb) the memo.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +29,7 @@
 #include <vector>
 
 #include "src/mem/pager.h"
+#include "src/session/os_profile.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 
@@ -59,6 +64,9 @@ Victims StormVictims(PagerFixture& f, const std::vector<AddressSpace*>& spaces) 
   f.sim.Run();
   std::vector<std::pair<size_t, uint64_t>> resident;
   for (size_t i = 0; i < spaces.size(); ++i) {
+    if (spaces[i] == nullptr) {
+      continue;  // released
+    }
     if (std::find(spaces.begin(), spaces.begin() + i, spaces[i]) != spaces.begin() + i) {
       continue;  // another handle on a shared segment listed already
     }
@@ -133,6 +141,31 @@ class Twin {
     ranged_.pager.MarkSwappedOut(*ranged_spaces_[i], first, count);
     paged_.pager.MarkSwappedOut(*paged_spaces_[i], first, count);
   }
+  // A one-page Access (not AccessRange) on both sides.
+  void Access(size_t i, uint64_t vpn, bool write) {
+    ranged_.pager.Access(*ranged_spaces_[i], vpn, write, nullptr);
+    paged_.pager.Access(*paged_spaces_[i], vpn, write, nullptr);
+  }
+  // Releases space `i` on both sides; its index stays reserved and is skipped.
+  void Release(size_t i) {
+    ranged_.pager.ReleaseAddressSpace(ranged_spaces_[i]);
+    paged_.pager.ReleaseAddressSpace(paged_spaces_[i]);
+    ranged_spaces_[i] = nullptr;
+    paged_spaces_[i] = nullptr;
+  }
+
+  // Checkpoints both pagers once their disks have drained; Restore loads such a
+  // checkpoint back into the same pagers (a rewind), again from a drained disk.
+  using Checkpoint = std::pair<std::vector<uint8_t>, std::vector<uint8_t>>;
+  Checkpoint Save() {
+    Run();
+    return {SaveOf(ranged_.pager), SaveOf(paged_.pager)};
+  }
+  void Restore(const Checkpoint& c) {
+    Run();
+    LoadInto(ranged_.pager, c.first);
+    LoadInto(paged_.pager, c.second);
+  }
 
   void Run() {
     ranged_.sim.Run();
@@ -154,6 +187,9 @@ class Twin {
     EXPECT_EQ(a.protected_skips(), b.protected_skips());
     EXPECT_EQ(ranged_.disk.pages_written(), paged_.disk.pages_written());
     for (size_t i = 0; i < ranged_spaces_.size(); ++i) {
+      if (ranged_spaces_[i] == nullptr) {
+        continue;  // released
+      }
       const AddressSpace& x = *ranged_spaces_[i];
       const AddressSpace& y = *paged_spaces_[i];
       ASSERT_EQ(x.resident_pages(), y.resident_pages()) << "space " << i;
@@ -180,6 +216,17 @@ class Twin {
   }
 
  private:
+  static std::vector<uint8_t> SaveOf(const Pager& pager) {
+    SnapshotWriter w;
+    pager.SaveTo(w);
+    return w.Finish();
+  }
+  static void LoadInto(Pager& pager, const std::vector<uint8_t>& blob) {
+    SnapshotReader r(blob);
+    EventRearm plan;  // drained: nothing to re-arm
+    pager.LoadFrom(r, plan);
+  }
+
   static PagerConfig Config(size_t frames, EvictionPolicy policy) {
     PagerConfig cfg;
     cfg.total_frames = frames;
@@ -407,6 +454,133 @@ TEST_P(AccessRangeProperty, RandomMix) {
     t.ExpectSame("mix step " + std::to_string(step));
   }
   t.ExpectSameRecency("mix");
+}
+
+// ---------------------------------------------------------------------------
+// Memo mixes. An editor space takes prefix passes [0, k) over its working set, k a
+// uniform fraction between the profile's ws_touch_min and ws_touch_max of the set (the
+// working set is scaled to the test's pool), interleaved with another session's
+// touches and, between some passes, with the operation under test. Reads sometimes stay
+// on the disk into the next pass, so memo hits join them.
+
+enum class Between {
+  kOnePageAccess,    // Access on a page inside the memo's interval
+  kOtherRange,       // another range of the same space, sometimes a write or past the set
+  kEvictionStorm,    // a third space faults fresh pages in the saturated pool
+  kSwapOut,          // MarkSwappedOut of some of the editor's pages
+  kPrefault,         // Prefault over resident and missing editor pages
+  kReleaseAndReuse,  // a space is released and a new one takes its freed frames
+  kRestore,          // the pagers are rewound to an earlier checkpoint
+};
+
+void PrefixPassMix(uint64_t seed, EvictionPolicy policy, Between between) {
+  Rng rng(seed);
+  const OsProfile profile = rng.NextBool(0.5) ? OsProfile::Tse() : OsProfile::LinuxX();
+  const size_t ws = Pick(rng, 48, 200);
+  const size_t other_pages = Pick(rng, 16, 64);
+  Twin t(ws + other_pages + Pick(rng, 8, 48), policy);
+  size_t editor = t.Create(/*interactive=*/true);
+  size_t other = t.Create(rng.NextBool(0.5));
+  const size_t hog = t.Create(rng.NextBool(0.5));
+  t.Prefault(editor, 0, ws);
+  t.Prefault(other, 0, other_pages);
+  auto draw = [&] {
+    double frac = profile.ws_touch_min +
+                  rng.NextDouble() * (profile.ws_touch_max - profile.ws_touch_min);
+    return std::max<size_t>(1, static_cast<size_t>(frac * static_cast<double>(ws)));
+  };
+  uint64_t hog_next = 0;
+  Twin::Checkpoint checkpoint;
+  bool saved = false;
+  for (int pass = 0; pass < 48; ++pass) {
+    t.AccessRange(editor, 0, draw(), /*write=*/false);
+    t.Touch(other, rng.NextBelow(other_pages));
+    if (rng.NextBool(0.4)) {
+      switch (between) {
+        case Between::kOnePageAccess:
+          t.Access(editor, rng.NextBelow(ws), rng.NextBool(0.3));
+          break;
+        case Between::kOtherRange: {
+          uint64_t first = rng.NextBelow(ws);
+          t.AccessRange(editor, first, Pick(rng, 1, static_cast<int64_t>(ws - first + 8)),
+                        rng.NextBool(0.4));
+          break;
+        }
+        case Between::kEvictionStorm: {
+          size_t n = Pick(rng, 8, 64);
+          if (hog_next + n > kMaxVpn) {
+            t.MarkSwappedOut(hog, 0, hog_next);  // start over on evicted pages: reads
+            hog_next = 0;
+          }
+          t.AccessRange(hog, hog_next, n, rng.NextBool(0.5));
+          hog_next += n;
+          break;
+        }
+        case Between::kSwapOut:
+          t.MarkSwappedOut(editor, rng.NextBelow(ws), Pick(rng, 1, 8));
+          break;
+        case Between::kPrefault: {
+          uint64_t first = rng.NextBelow(ws);
+          t.Prefault(editor, first, Pick(rng, 1, static_cast<int64_t>(ws - first + 8)));
+          break;
+        }
+        case Between::kReleaseAndReuse:
+          // Releasing the other session frees frames between the editor's runs; its
+          // successor takes them from the free list, appended at the MRU tail.
+          // Releasing the editor hands its frames to a fresh editor.
+          if (rng.NextBool(0.7)) {
+            t.Release(other);
+            other = t.Create(rng.NextBool(0.5));
+            t.Prefault(other, 0, other_pages);
+          } else {
+            t.Release(editor);
+            editor = t.Create(true);
+            t.Prefault(editor, 0, ws);
+          }
+          break;
+        case Between::kRestore:
+          // Fragment the editor's runs, then checkpoint; a later rewind restores a list
+          // the passes in between had reshaped.
+          if (!saved || rng.NextBool(0.5)) {
+            for (int i = 0; i < 4; ++i) {
+              t.Access(editor, rng.NextBelow(ws), false);
+            }
+            checkpoint = t.Save();
+            saved = true;
+          } else {
+            t.Restore(checkpoint);
+          }
+          break;
+      }
+    }
+    if (rng.NextBool(0.3)) {
+      t.Run();
+    }
+    t.ExpectSame("pass " + std::to_string(pass));
+  }
+  t.ExpectSameRecency("prefix passes");
+}
+
+TEST_P(AccessRangeProperty, MemoPrefixPassesWithOnePageAccess) {
+  PrefixPassMix(seed(), policy(), Between::kOnePageAccess);
+}
+TEST_P(AccessRangeProperty, MemoPrefixPassesWithOtherRange) {
+  PrefixPassMix(seed(), policy(), Between::kOtherRange);
+}
+TEST_P(AccessRangeProperty, MemoPrefixPassesWithEvictionStorm) {
+  PrefixPassMix(seed(), policy(), Between::kEvictionStorm);
+}
+TEST_P(AccessRangeProperty, MemoPrefixPassesWithSwapOut) {
+  PrefixPassMix(seed(), policy(), Between::kSwapOut);
+}
+TEST_P(AccessRangeProperty, MemoPrefixPassesWithPrefault) {
+  PrefixPassMix(seed(), policy(), Between::kPrefault);
+}
+TEST_P(AccessRangeProperty, MemoPrefixPassesWithReleaseAndReuse) {
+  PrefixPassMix(seed(), policy(), Between::kReleaseAndReuse);
+}
+TEST_P(AccessRangeProperty, MemoPrefixPassesWithRestore) {
+  PrefixPassMix(seed(), policy(), Between::kRestore);
 }
 
 // ---------------------------------------------------------------------------

@@ -313,6 +313,11 @@ TEST_P(PrefaultProperty, PlacementMatchesTheZeroFillFaultPath) {
       a.pager.MarkSwappedOut(*sa[z], first, count);
       b.pager.MarkSwappedOut(*sb[z], first, count);
     }
+    if (step % 3 == 2) {
+      // Unlink the MRU tail, which `b` placed last: a placed run must end the list.
+      a.pager.MarkSwappedOut(*sa[y], next_vpn - 1, 1);
+      b.pager.MarkSwappedOut(*sb[y], next_vpn - 1, 1);
+    }
   }
 }
 
